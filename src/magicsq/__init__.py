@@ -86,6 +86,7 @@ from .weyl import (
     longest_element_length,
     minimal_coset_reps,
     parabolic_order,
+    quotient_poly,
     reduced_word,
     weyl_order,
     weyl_order_by_cosets,

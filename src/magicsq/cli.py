@@ -18,7 +18,8 @@ Verb-noun grammar, node sets as comma lists in Bourbaki numbering:
     magicsq verify [--filter 'dims-*']
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
-JSON output is byte-deterministic for fixed arguments.
+JSON output is byte-deterministic for fixed arguments, except the
+``runtime_ms`` wall-time field of each ``verify`` check.
 """
 
 from __future__ import annotations
@@ -108,11 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default json; verify defaults to text)",
     )
     top.add_argument(
-        "--seed-independent",
-        action="store_true",
-        help="reserved; no command uses randomness",
-    )
-    top.add_argument(
         "--fixtures", default=None, help="path to an alternative fixtures document"
     )
     sub = top.add_subparsers(dest="command", required=True)
@@ -196,14 +192,16 @@ def _cmd_weyl(args) -> int:
         return 0
     if args.verb == "cosets":
         parabolic = _nodes(args.parabolic)
-        counts = weyl.coset_length_counts(rs, parabolic)
+        # every coefficient from t^0 to the top is positive, so the table
+        # lists each length up to the degree
+        poly = weyl.quotient_poly(rs, parabolic)
         _emit_json(
             {
                 "type": args.type,
                 "parabolic": sorted(parabolic),
-                "count": sum(counts.values()),
-                "max_length": max(counts),
-                "length_counts": [[l, counts[l]] for l in sorted(counts)],
+                "count": poly(1),
+                "max_length": poly.degree,
+                "length_counts": [[l, c] for l, c in enumerate(poly.coeffs)],
             }
         )
         return 0
@@ -456,11 +454,8 @@ def _cmd_verify(args, fmt) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    fixtures_doc = None
-    if args.fixtures:
-        with open(args.fixtures, "r", encoding="utf-8") as fh:
-            fixtures_doc = json.load(fh)
     try:
+        fixtures_doc = verify.load_fixture_doc(args.fixtures) if args.fixtures else None
         if args.command == "weyl":
             return _cmd_weyl(args)
         if args.command == "poly":

@@ -6,6 +6,11 @@ the Levi root system lives on the complement of I, and the cells of the
 split variety are the minimal coset representatives of W/W_Levi counted
 by length.
 
+The split Poincare polynomial is computed in closed form by
+``weyl.quotient_poly`` (Solomon's degree-product quotient); the orbit
+walk ``weyl.coset_length_counts`` cross-checks it in the tests and in
+``verify``.
+
 The two conormed Poincare polynomials are pinned per-instance data for
 the quasi-split outer E6 varieties X_2 and X_{1,6}; no general conormed
 algorithm is provided (only those two closed formulas are available).
@@ -15,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from . import weyl
 from .polyring import IntPoly, eval_rational, parse_poly
@@ -53,28 +57,10 @@ class FlagVariety:
         return not self.levi_nodes
 
 
-def _borel_poly(degrees: Iterable[int]) -> IntPoly:
-    # prod over degrees d of (1 + t + ... + t^(d-1)), the (t^d-1)/(t-1) expansion
-    out = IntPoly.one()
-    for d in degrees:
-        out = out * IntPoly((1,) * d)
-    return out
-
-
 @lru_cache(maxsize=None)
 def poincare_poly(fv: FlagVariety) -> IntPoly:
-    """Sum of t^l(w) over minimal coset representatives of W/W_Levi.
-
-    The Borel case (all nodes circled) is returned directly as the
-    degree-product expansion prod (t^d - 1)/(t - 1), which the coset
-    enumeration must reproduce (cross-checked in the test suite).
-    """
-    rs = build_root_system(fv.ambient)
-    theta = fv.levi_nodes
-    if not theta:
-        return _borel_poly(weyl.fundamental_degrees(rs))
-    counts = weyl.coset_length_counts(rs, theta)
-    return weyl.length_counts_to_poly(counts)
+    """Sum of t^l(w) over minimal coset representatives of W/W_Levi."""
+    return weyl.quotient_poly(build_root_system(fv.ambient), fv.levi_nodes)
 
 
 def dim_flag(fv: FlagVariety) -> int:

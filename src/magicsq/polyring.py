@@ -27,6 +27,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
+# Largest degree parse_poly accepts and eval_rational multiplies out: far
+# above any degree the commands need (120, the E8 Borel variety), low
+# enough that no input allocates or divides without bound.
+MAX_DEGREE = 4096
+
+
 class InexactDivision(ArithmeticError):
     """Polynomial quotient left Z[t] (nonzero remainder or fractional quotient)."""
 
@@ -212,6 +218,10 @@ def parse_poly(text: str) -> IntPoly:
         exp = 0
         if m.group(3):
             exp = int(m.group(5)) if m.group(5) is not None else 1
+        if exp > MAX_DEGREE:
+            raise ValueError(
+                f"exponent {exp} in {text!r} exceeds the maximum degree {MAX_DEGREE}"
+            )
         coeffs[exp] = coeffs.get(exp, 0) + sign * coef
     if not coeffs:
         return IntPoly()
@@ -325,7 +335,18 @@ def eval_rational(
     Multiplies out both factor lists and divides.  The quotient must be
     a polynomial with integer coefficients; anything else signals a
     mistranscribed formula and raises, carrying the rational remainder.
+    A product above MAX_DEGREE raises ValueError before anything is
+    multiplied out.
     """
+    for side, factors in (
+        ("numerator", numerator_factors),
+        ("denominator", denominator_factors),
+    ):
+        degree = sum(max(f.degree, 0) for f in factors)
+        if degree > MAX_DEGREE:
+            raise ValueError(
+                f"{side} product has degree {degree}, above the maximum {MAX_DEGREE}"
+            )
     num = IntPoly.one()
     for f in numerator_factors:
         num = num * f

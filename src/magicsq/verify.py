@@ -9,6 +9,7 @@ Exit-code convention for the CLI: 0 when everything passes, 1 otherwise.
 from __future__ import annotations
 
 import fnmatch
+import json
 import random
 import time
 from dataclasses import dataclass
@@ -88,6 +89,49 @@ def _expand_terms(term_specs: list[dict]) -> list[cgmb.MotiveTerm]:
         for shift in spec["shifts"]:
             out.append(cgmb.MotiveTerm(spec["kind"], shift, block))
     return out
+
+
+# keys each fixture kind reads, beyond the name, kind and total all share
+_FIXTURE_KEYS = {
+    "identity": ("terms",),
+    "residual-expressible": ("subtract", "blocks", "min_shift"),
+}
+
+
+def load_fixture_doc(path: str) -> dict:
+    """Read and validate an alternative fixtures document.
+
+    Every failure, from an unreadable file to a fixture lacking a key its
+    kind needs, raises ValueError with a one-line message.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read fixtures {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"fixtures {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("version") != 1:
+        raise ValueError(f"fixtures {path} must be a document with version 1")
+    fixtures = doc.get("fixtures")
+    if not isinstance(fixtures, list):
+        raise ValueError(f"fixtures {path} has no 'fixtures' list")
+    for k, f in enumerate(fixtures):
+        if not isinstance(f, dict):
+            raise ValueError(f"fixture #{k} in {path} is not an object")
+        label = f"fixture {f.get('name', f'#{k}')!r} in {path}"
+        need = ("name", "kind", "total") + _FIXTURE_KEYS.get(f.get("kind"), ())
+        missing = [key for key in need if key not in f]
+        if missing:
+            raise ValueError(f"{label} lacks {', '.join(missing)}")
+        total = f["total"]
+        if not (
+            isinstance(total, dict)
+            and isinstance(total.get("poincare"), dict)
+            and {"type", "variety"} <= total["poincare"].keys()
+        ):
+            raise ValueError(f"{label}: total must be {{'poincare': {{type, variety}}}}")
+    return doc
 
 
 def fixture_names(doc: dict | None = None) -> list[str]:
@@ -235,10 +279,12 @@ def _palindromic_flags() -> bool:
 
 
 def _coset_count_identity() -> bool:
+    # the closed form against the independent orbit walk, coefficient by
+    # coefficient; the walk itself asserts its orbit size is |W|/|W_J|
     for fv in _flag_catalog():
         rs = build_root_system(fv.ambient)
-        expected = weyl.weyl_order(rs) // weyl.parabolic_order(rs, fv.levi_nodes)
-        if poincare.poincare_poly(fv)(1) != expected:
+        walk = weyl.length_counts_to_poly(weyl.coset_length_counts(rs, fv.levi_nodes))
+        if poincare.poincare_poly(fv) != walk:
             return False
     return True
 

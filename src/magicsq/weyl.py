@@ -5,17 +5,25 @@ root set (see rootsys for the encoding: nonnegative index = positive
 root, bitwise complement = its negative).  Length is the number of
 positive roots sent to negative ones and is cached on the element.
 
+The length generating function of a quotient W/W_J is computed in closed
+form by ``quotient_poly``: Solomon's product of [d]_t over the degrees of
+W divided by the same product over the degrees of the components of
+W_J.  It enumerates nothing, so it answers every quotient, E8 included.
+
 Enumeration never materializes the full group unless explicitly asked:
 minimal coset representatives of W/W_J are grown breadth-first from the
 identity by left multiplication with simple reflections, keeping only
-J-reduced elements, so the seen-set holds representatives only.  Rank 8
-full-group enumeration is refused outright; for rank <= 7 a guard flag
-must be passed once the group order exceeds a comfort threshold.
+J-reduced elements, so the seen-set holds representatives only.  Every
+permutation enumeration checks the index |W|/|W_J| before it starts:
+rank 8 full-group enumeration is refused outright, a quotient beyond a
+comfort threshold is refused, and for the full group of rank <= 7 a guard
+flag must be passed once the group order exceeds that threshold.
 
-For Poincare-type counting, ``coset_length_counts`` runs the same
-breadth-first walk on weight-coordinate vectors (the W-orbit of the
-dominant vector with stabilizer W_J), which keeps at most two levels in
-memory and never builds permutations at all.
+``coset_length_counts`` runs the same breadth-first walk on
+weight-coordinate vectors (the W-orbit of the dominant vector with
+stabilizer W_J), which keeps at most two levels in memory and never
+builds permutations at all.  It is the independent cross-check of
+``quotient_poly`` in the tests and in ``verify``.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .polyring import IntPoly
+from .polyring import IntPoly, eval_rational
 from .rootsys import (
     DiagramAut,
     RootSystem,
@@ -33,8 +41,9 @@ from .rootsys import (
     sub_diagram_type,
 )
 
-# Full-group enumeration guard: refuse rank 8 outright, demand an explicit
-# flag for rank <= 7 groups beyond this many elements.
+# Permutation enumeration guard: refuse quotients beyond this many cosets,
+# refuse the full group of rank 8 outright, and demand an explicit flag for
+# rank <= 7 full groups beyond this many elements.
 _FULL_GROUP_SOFT_LIMIT = 100_000
 _LEAN_COUNT_LIMIT = 2_000_000
 
@@ -167,6 +176,26 @@ def parabolic_order(rs: RootSystem, nodes: Iterable[int]) -> int:
     return total
 
 
+def quotient_poly(rs: RootSystem, parabolic: Iterable[int]) -> IntPoly:
+    """Length generating function of the minimal coset reps of W/W_J.
+
+    Solomon's formula: prod [d]_t over the degrees d of W divided by the
+    same product over the degrees of every component of W_J, where
+    [d]_t = 1 + t + ... + t^(d-1).  The division is exact; a remainder
+    would mean corrupt root data and raises InexactDivision.
+    """
+    J = rs.check_nodes(parabolic)
+    levi_degrees = [
+        d
+        for ct in sub_diagram_type(rs, J)
+        for d in fundamental_degrees(build_root_system(ct))
+    ]
+    return eval_rational(
+        [IntPoly((1,) * d) for d in fundamental_degrees(rs)],
+        [IntPoly((1,) * d) for d in levi_degrees],
+    )
+
+
 def _coset_bfs(
     rs: RootSystem,
     generator_nodes: Sequence[int],
@@ -208,23 +237,29 @@ def minimal_coset_reps(
 ) -> Iterator[CosetRep]:
     """Stream the minimal-length representatives of W / W_parabolic.
 
-    Deterministic order: by (length, action tuple).  An empty parabolic
-    enumerates the whole group, which is refused for rank 8 and demands
-    allow_full_group=True beyond a size threshold for rank <= 7.
+    Deterministic order: by (length, action tuple).  A quotient with
+    more than _FULL_GROUP_SOFT_LIMIT cosets is refused.  An empty
+    parabolic enumerates the whole group, which is refused for rank 8 and
+    demands allow_full_group=True beyond that size for rank <= 7.
     Guards fire at call time, not at first consumption.
     """
     J = rs.check_nodes(parabolic)
+    index = weyl_order(rs) // parabolic_order(rs, J)
     if not J:
         if rs.rank >= 8:
             raise ValueError(
                 "full-group enumeration is disabled for rank 8; "
                 "use coset-quotient algorithms instead"
             )
-        if weyl_order(rs) > _FULL_GROUP_SOFT_LIMIT and not allow_full_group:
+        if index > _FULL_GROUP_SOFT_LIMIT and not allow_full_group:
             raise ValueError(
-                f"enumerating all {weyl_order(rs)} elements needs "
-                "allow_full_group=True"
+                f"enumerating all {index} elements needs allow_full_group=True"
             )
+    elif index > _FULL_GROUP_SOFT_LIMIT:
+        raise ValueError(
+            f"W/W_J has {index} cosets, above the enumeration limit of "
+            f"{_FULL_GROUP_SOFT_LIMIT}"
+        )
     gens = list(range(1, rs.rank + 1))
 
     def stream() -> Iterator[CosetRep]:

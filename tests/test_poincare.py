@@ -1,8 +1,11 @@
 """Flag variety Poincare polynomials against independently expanded forms.
 
 The frozen coefficient tuples were produced by expanding the quotient of
-degree products in a computer algebra system; enumeration must agree.
+degree products in a computer algebra system.  The closed form computes
+them; the orbit walk of W must agree with it on every small quotient.
 """
+
+import itertools
 
 import pytest
 
@@ -15,7 +18,14 @@ from magicsq.poincare import (
 )
 from magicsq.polyring import IntPoly
 from magicsq.rootsys import CartanType, build_root_system
-from magicsq.weyl import coset_length_counts, fundamental_degrees, length_counts_to_poly
+from magicsq.weyl import (
+    coset_length_counts,
+    fundamental_degrees,
+    length_counts_to_poly,
+    parabolic_order,
+    quotient_poly,
+    weyl_order,
+)
 
 P_X2_SPLIT = (1, 1, 1, 2, 3, 3, 4, 5, 5, 5, 6, 6, 5, 5, 5, 4, 3, 3, 2, 1, 1, 1)
 P_X16_SPLIT = (
@@ -86,6 +96,48 @@ def test_borel_formula_matches_enumeration(label):
     assert by_formula == by_walk
     assert by_formula.degree == rs.num_positive
     assert by_formula.is_palindromic()
+
+
+CROSS_CHECK_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
+    "D4", "D5", "F4", "G2", "E6", "E7", "E8",
+]
+CROSS_CHECK_MAX_INDEX = 5_000
+
+
+def _small_parabolics(rs, max_index):
+    for k in range(rs.rank + 1):
+        for levi in itertools.combinations(range(1, rs.rank + 1), k):
+            if weyl_order(rs) // parabolic_order(rs, levi) <= max_index:
+                yield levi
+
+
+@pytest.mark.parametrize("label", CROSS_CHECK_TYPES)
+def test_formula_matches_orbit_walk(label):
+    # every parabolic quotient of index <= 5000 (234 over these types)
+    rs = build_root_system(CartanType.from_string(label))
+    levis = list(_small_parabolics(rs, CROSS_CHECK_MAX_INDEX))
+    assert levis
+    for levi in levis:
+        by_walk = length_counts_to_poly(coset_length_counts(rs, levi))
+        assert quotient_poly(rs, levi) == by_walk, (label, levi)
+
+
+@pytest.mark.parametrize(
+    "circled,count,dim",
+    [
+        ({3, 5}, 2_419_200, 110),  # beyond the orbit walk's 2e6 limit
+        (set(range(1, 8)), 348_364_800, 119),  # W/W_{8}: `weyl cosets --parabolic 8`
+    ],
+)
+def test_large_e8_quotients(circled, count, dim):
+    p = poincare_poly(_fv("E8", circled))
+    assert p(1) == count
+    assert p.degree == dim == dim_flag(_fv("E8", circled))
+    assert p.is_palindromic()
+    # one length-1 coset per simple reflection outside the Levi
+    assert p.coefficient(1) == len(circled)
+    assert all(c > 0 for c in p.coeffs)
 
 
 def test_quotient_identity_for_proper_parabolic():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from magicsq.polyring import (
+    MAX_DEGREE,
     InexactDivision,
     IntPoly,
     divides_ring,
@@ -85,6 +86,25 @@ def test_eval_rational_trivial_and_errors():
         eval_rational([parse_poly("t+1")], [IntPoly([2])])
     with pytest.raises(ZeroDivisionError):
         eval_rational([IntPoly([1])], [IntPoly()])
+
+
+def test_parse_poly_exponent_cap():
+    assert MAX_DEGREE > 120  # the E8 Borel variety, the largest degree in use
+    assert parse_poly(f"1+t^{MAX_DEGREE}").degree == MAX_DEGREE
+    with pytest.raises(ValueError, match="maximum degree"):
+        parse_poly(f"t^{MAX_DEGREE + 1}")
+    # refused from the exponent alone, before a coefficient list exists
+    with pytest.raises(ValueError, match="maximum degree"):
+        parse_poly("t^1000000000-1")
+
+
+def test_eval_rational_degree_cap():
+    top = IntPoly.monomial(MAX_DEGREE)
+    assert eval_rational([top], [IntPoly.monomial(1)]) == IntPoly.monomial(MAX_DEGREE - 1)
+    with pytest.raises(ValueError, match="numerator product has degree"):
+        eval_rational([top, parse_poly("1+t")], [IntPoly.one()])
+    with pytest.raises(ValueError, match="denominator product has degree"):
+        eval_rational([top], [top, parse_poly("t")])
 
 
 def test_divides_ring():

@@ -227,7 +227,8 @@ def test_cli_usage_error_exit_code():
 def test_cli_validation_errors_map_to_exit_2(capsys):
     for argv in (
         ["weyl", "order", "--type", "E9"],
-        ["weyl", "cosets", "--type", "E8", "--parabolic", "8"],  # over size cap
+        # 348364800 cosets: over the permutation enumeration cap
+        ["weyl", "double-cosets", "--type", "E8", "--left", "1", "--right", "1"],
         ["jinv", "poly", "--group", "2E6", "--j", "0,1,0"],
         ["jinv", "poly", "--group", "F4", "--j", "0,0,0,0"],
         ["qform", "af-e7", "--q", "definite", "--o", "definite", "--gamma", "+,0,+"],
@@ -238,6 +239,55 @@ def test_cli_validation_errors_map_to_exit_2(capsys):
         code = main(argv)
         capsys.readouterr()
         assert code == 2, argv
+
+
+def test_cli_weyl_cosets_large_e8_quotient(capsys):
+    code, out = run_cli(capsys, "weyl", "cosets", "--type", "E8", "--parabolic", "8")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == 348_364_800
+    assert payload["max_length"] == 119
+    assert [l for l, _ in payload["length_counts"]] == list(range(120))
+
+
+def test_cli_degree_caps_map_to_exit_2(capsys):
+    for argv in (
+        ["poly", "divides", "--p", "t^1000000000", "--q", "1+t"],
+        ["poly", "eval-rational", "--num", "t^3000,t^3000", "--den", "t-1"],
+    ):
+        code = main(argv)
+        assert code == 2, argv
+        assert "maximum" in capsys.readouterr().err
+
+
+def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
+    bad_docs = {
+        "not-json.json": "{",
+        "no-version.json": json.dumps({"fixtures": []}),
+        "wrong-version.json": json.dumps({"version": 2, "fixtures": []}),
+        "no-fixtures.json": json.dumps({"version": 1}),
+        "no-total.json": json.dumps(
+            {"version": 1, "fixtures": [{"name": "x", "kind": "identity", "terms": []}]}
+        ),
+        "no-terms.json": json.dumps(
+            {"version": 1, "fixtures": [{"name": "x", "kind": "identity", "total": {}}]}
+        ),
+        "bad-total.json": json.dumps(
+            {
+                "version": 1,
+                "fixtures": [{"name": "x", "kind": "identity", "total": {}, "terms": []}],
+            }
+        ),
+    }
+    paths = [str(tmp_path / "missing.json")]
+    for name, text in bad_docs.items():
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    for path in paths:
+        code = main(["--fixtures", path, "cgmb", "check", "--fixture", "x"])
+        captured = capsys.readouterr()
+        assert code == 2, path
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, path
 
 
 def test_cli_weyl_cosets_empty_parabolic(capsys):

@@ -160,6 +160,16 @@ def test_full_group_guards():
         minimal_coset_reps(_rs("A3"), {5})  # bad node set fails eagerly
 
 
+def test_quotient_enumeration_guard():
+    # the index is checked at call time, before any permutation is built
+    with pytest.raises(ValueError, match="348364800 cosets"):
+        minimal_coset_reps(_rs("E8"), {1})
+    with pytest.raises(ValueError):
+        double_cosets(_rs("E8"), {1}, {1})
+    # E7 / W_{2..6}: 1512 cosets stays under the limit
+    assert next(iter(minimal_coset_reps(_rs("E7"), {2, 3, 4, 5, 6}))).element.is_identity
+
+
 def test_coset_length_counts_matches_reps():
     rs = _rs("E6")
     counts = coset_length_counts(rs, {2, 3, 4, 5})
