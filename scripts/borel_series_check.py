@@ -6,20 +6,28 @@ coset-chain enumeration against the fundamental-degree product; this
 covers E8 without materializing the group.  Second, for every parabolic
 quotient W/W_J of index <= 2e5 over QUOTIENT_TYPES (316 quotients), the
 closed form ``quotient_poly`` against the orbit walk
-``coset_length_counts``, coefficient by coefficient.  The sweep takes
-about half a minute, which is why it is a script and not a test.
+``coset_length_counts``, coefficient by coefficient.  Third, for every
+pair (I, J) of index |W/W_J| <= 2e4 over DOUBLE_COSET_TYPES, with the
+opposition involution as star wherever it fixes I and J, the double
+cosets of the weight-orbit route ``double_cosets`` against the
+permutation-side Kilmoyer reference of ``tests/test_weyl.py``, cell by
+cell: minimal representative, size and star invariance.  The sweeps take
+minutes, which is why this is a script and not a test.
 
     PYTHONPATH=src python3 scripts/borel_series_check.py
 """
 
 import itertools
+import pathlib
+import sys
 import time
 
 from magicsq.polyring import IntPoly
-from magicsq.rootsys import CartanType, build_root_system
+from magicsq.rootsys import CartanType, build_root_system, opposition_involution
 from magicsq.weyl import (
     chain_length_polynomial,
     coset_length_counts,
+    double_cosets,
     fundamental_degrees,
     length_counts_to_poly,
     parabolic_order,
@@ -39,6 +47,14 @@ QUOTIENT_TYPES = [
     "D4", "D5", "F4", "G2", "E6", "E7",
 ]
 QUOTIENT_MAX_INDEX = 200_000
+DOUBLE_COSET_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
+    "D4", "D5", "F4", "G2", "E6",
+]
+DOUBLE_COSET_MAX_INDEX = 20_000
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from test_weyl import _kilmoyer_cells, _kilmoyer_table  # noqa: E402
 
 
 def check_groups():
@@ -82,9 +98,58 @@ def check_quotients():
           f"{formula_s:.2f}s, orbit walk {walk_s:.2f}s")
 
 
+def check_double_cosets():
+    cases = 0
+    orbit_s = reference_s = 0.0
+    for label in DOUBLE_COSET_TYPES:
+        rs = build_root_system(CartanType.from_string(label))
+        opp = opposition_involution(rs)
+        subsets = [
+            frozenset(s)
+            for k in range(rs.rank + 1)
+            for s in itertools.combinations(range(1, rs.rank + 1), k)
+        ]
+        checked = 0
+        for right in subsets:
+            if weyl_order(rs) // parabolic_order(rs, right) > DOUBLE_COSET_MAX_INDEX:
+                continue
+            stars = [None]
+            if not opp.is_identity and opp.stabilizes(right):
+                stars.append(opp)
+            for star in stars:
+                t0 = time.perf_counter()
+                table = _kilmoyer_table(rs, right, star)
+                reference_s += time.perf_counter() - t0
+                for left in subsets:
+                    if star is not None and not star.stabilizes(left):
+                        continue
+                    t0 = time.perf_counter()
+                    cells = double_cosets(rs, left, right, star)
+                    t1 = time.perf_counter()
+                    expected = _kilmoyer_cells(rs, table, left)
+                    t2 = time.perf_counter()
+                    orbit_s += t1 - t0
+                    reference_s += t2 - t1
+                    got = [
+                        (c.min_rep.length, c.min_rep.action, c.orbit_size, c.star_invariant)
+                        for c in cells
+                    ]
+                    if got != expected:
+                        raise AssertionError(
+                            f"{label} I={sorted(left)} J={sorted(right)} "
+                            f"star={star is not None}: orbit route != Kilmoyer reference"
+                        )
+                    checked += 1
+        print(f"{label:3}  {checked:4} double-coset cases ok")
+        cases += checked
+    print(f"{cases} double-coset cases of index <= {DOUBLE_COSET_MAX_INDEX:,}: orbit "
+          f"route {orbit_s:.2f}s, Kilmoyer reference {reference_s:.2f}s")
+
+
 def main():
     check_groups()
     check_quotients()
+    check_double_cosets()
 
 
 if __name__ == "__main__":

@@ -62,7 +62,6 @@ from .qform import (
     killing_grid,
     norm_form,
     sign_form,
-    witt_index_r,
 )
 from .rootsys import (
     CartanType,

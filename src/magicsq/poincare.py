@@ -52,10 +52,6 @@ class FlagVariety:
     def levi_nodes(self) -> frozenset[int]:
         return frozenset(range(1, self.ambient.rank + 1)) - self.parabolic_type
 
-    @property
-    def is_borel(self) -> bool:
-        return not self.levi_nodes
-
 
 @lru_cache(maxsize=None)
 def poincare_poly(fv: FlagVariety) -> IntPoly:

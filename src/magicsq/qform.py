@@ -138,10 +138,6 @@ def af_killing_form_e7(
     return inner.scaled(-1)
 
 
-def witt_index_r(f: DiagFormR) -> int:
-    return f.witt_index
-
-
 def killing_grid() -> list[tuple[bool, bool, tuple[int, int, int], DiagFormR]]:
     """All 2 x 2 x 8 input configurations with their Killing forms."""
     out = []

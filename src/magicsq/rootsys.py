@@ -172,9 +172,6 @@ class RootSystem:
                 out.append(~self._root_index[tuple(-x for x in w)])
         return tuple(out)
 
-    def root_index(self, v: Sequence[int]) -> int:
-        return self._root_index[tuple(v)]
-
     def simple_root_index(self, node: int) -> int:
         """Index of simple root a_node (1-based node) in positive_roots."""
         return self._simple_pos[node - 1]
@@ -245,12 +242,6 @@ class DiagramAut:
     @property
     def is_identity(self) -> bool:
         return all(p == i + 1 for i, p in enumerate(self.node_permutation))
-
-    def inverse(self) -> "DiagramAut":
-        inv = [0] * len(self.node_permutation)
-        for i, p in enumerate(self.node_permutation):
-            inv[p - 1] = i + 1
-        return DiagramAut(tuple(inv))
 
     def stabilizes(self, nodes: Iterable[int]) -> bool:
         ns = set(nodes)

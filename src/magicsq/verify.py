@@ -98,11 +98,16 @@ _FIXTURE_KEYS = {
 }
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 def load_fixture_doc(path: str) -> dict:
     """Read and validate an alternative fixtures document.
 
     Every failure, from an unreadable file to a fixture lacking a key its
-    kind needs, raises ValueError with a one-line message.
+    kind needs or a term entry without integer shifts, raises ValueError
+    with a one-line message.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -131,6 +136,19 @@ def load_fixture_doc(path: str) -> dict:
             and {"type", "variety"} <= total["poincare"].keys()
         ):
             raise ValueError(f"{label}: total must be {{'poincare': {{type, variety}}}}")
+        for key in ("terms", "subtract"):  # the term lists _expand_terms reads
+            entries = f.get(key, [])
+            if not isinstance(entries, list) or not all(
+                isinstance(e, dict)
+                and isinstance(e.get("kind"), str)
+                and _is_int_list(e.get("shifts"))
+                and _is_int_list(e.get("coeffs", []))
+                for e in entries
+            ):
+                raise ValueError(
+                    f"{label}: every {key} entry needs a string kind, a list of "
+                    "integer shifts and optionally a list of integer coeffs"
+                )
     return doc
 
 

@@ -10,24 +10,24 @@ form by ``quotient_poly``: Solomon's product of [d]_t over the degrees of
 W divided by the same product over the degrees of the components of
 W_J.  It enumerates nothing, so it answers every quotient, E8 included.
 
-Enumeration never materializes the full group unless explicitly asked:
-minimal coset representatives of W/W_J are grown breadth-first from the
-identity by left multiplication with simple reflections, keeping only
-J-reduced elements, so the seen-set holds representatives only.  Every
-permutation enumeration checks the index |W|/|W_J| before it starts:
-rank 8 full-group enumeration is refused outright, a quotient beyond a
-comfort threshold is refused, and for the full group of rank <= 7 a guard
-flag must be passed once the group order exceeds that threshold.
+``coset_length_counts`` and ``double_cosets`` walk the W-orbit of the
+weight lambda_J with stabilizer W_J on weight coordinates, breadth-first,
+two levels at a time.  The counts cross-check ``quotient_poly`` in the
+tests and in ``verify``; a double coset is an orbit vector dominant on the
+left nodes, and only its minimal representative is built as a permutation.
 
-``coset_length_counts`` runs the same breadth-first walk on
-weight-coordinate vectors (the W-orbit of the dominant vector with
-stabilizer W_J), which keeps at most two levels in memory and never
-builds permutations at all.  It is the independent cross-check of
-``quotient_poly`` in the tests and in ``verify``.
+Permutations are enumerated only by ``minimal_coset_reps`` (breadth-first
+from the identity, keeping J-reduced elements), ``chain_length_polynomial``
+and the reference implementations in the tests.  ``minimal_coset_reps``
+and ``double_cosets`` check the index |W|/|W_J| at call time and refuse a
+quotient beyond a comfort threshold; ``minimal_coset_reps`` also refuses
+the full group of rank 8 and wants a guard flag for a large one of rank
+<= 7.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -41,9 +41,10 @@ from .rootsys import (
     sub_diagram_type,
 )
 
-# Permutation enumeration guard: refuse quotients beyond this many cosets,
-# refuse the full group of rank 8 outright, and demand an explicit flag for
-# rank <= 7 full groups beyond this many elements.
+# Enumeration guard (minimal_coset_reps, double_cosets): refuse quotients
+# beyond this many cosets; minimal_coset_reps also refuses the full group of
+# rank 8 outright and demands an explicit flag for rank <= 7 full groups
+# beyond this many elements.
 _FULL_GROUP_SOFT_LIMIT = 100_000
 _LEAN_COUNT_LIMIT = 2_000_000
 
@@ -229,6 +230,17 @@ def _coset_bfs(
         length += 1
 
 
+def _check_index(rs: RootSystem, J: frozenset[int]) -> int:
+    """|W|/|W_J|, refused above _FULL_GROUP_SOFT_LIMIT before anything is built."""
+    index = weyl_order(rs) // parabolic_order(rs, J)
+    if index > _FULL_GROUP_SOFT_LIMIT:
+        raise ValueError(
+            f"W/W_J has {index} cosets, above the enumeration limit of "
+            f"{_FULL_GROUP_SOFT_LIMIT}"
+        )
+    return index
+
+
 def minimal_coset_reps(
     rs: RootSystem,
     parabolic: Iterable[int],
@@ -244,21 +256,16 @@ def minimal_coset_reps(
     Guards fire at call time, not at first consumption.
     """
     J = rs.check_nodes(parabolic)
-    index = weyl_order(rs) // parabolic_order(rs, J)
-    if not J:
-        if rs.rank >= 8:
-            raise ValueError(
-                "full-group enumeration is disabled for rank 8; "
-                "use coset-quotient algorithms instead"
-            )
-        if index > _FULL_GROUP_SOFT_LIMIT and not allow_full_group:
-            raise ValueError(
-                f"enumerating all {index} elements needs allow_full_group=True"
-            )
-    elif index > _FULL_GROUP_SOFT_LIMIT:
+    if J:
+        _check_index(rs, J)
+    elif rs.rank >= 8:
         raise ValueError(
-            f"W/W_J has {index} cosets, above the enumeration limit of "
-            f"{_FULL_GROUP_SOFT_LIMIT}"
+            "full-group enumeration is disabled for rank 8; "
+            "use coset-quotient algorithms instead"
+        )
+    elif weyl_order(rs) > _FULL_GROUP_SOFT_LIMIT and not allow_full_group:
+        raise ValueError(
+            f"enumerating all {weyl_order(rs)} elements needs allow_full_group=True"
         )
     gens = list(range(1, rs.rank + 1))
 
@@ -267,6 +274,32 @@ def minimal_coset_reps(
             yield CosetRep(WeylElement(act), J)
 
     return stream()
+
+
+def _orbit_levels(
+    rs: RootSystem, J: frozenset[int]
+) -> Iterator[set[tuple[int, ...]]]:
+    """Yield the W-orbit of lambda_J (1 off J, 0 on J) level by level.
+
+    Coordinates are mu_i = <mu, a_i^v>, and the orbit vectors are the
+    images w.lambda_J of the minimal coset reps w of W/W_J.  Crossing
+    wall i from the positive side (mu_i > 0) adds exactly one inversion,
+    so level l holds the images of the reps of length l, and only two
+    levels live in memory at a time.
+    """
+    n = rs.rank
+    rows = rs.cartan
+    level = {tuple(0 if (i + 1) in J else 1 for i in range(n))}
+    while level:
+        yield level
+        nxt = set()
+        for u in level:
+            for i in range(n):
+                ui = u[i]
+                if ui > 0:
+                    row = rows[i]
+                    nxt.add(tuple(u[j] - ui * row[j] for j in range(n)))
+        level = nxt
 
 
 def coset_length_counts(
@@ -278,9 +311,7 @@ def coset_length_counts(
     """Count minimal coset representatives of W/W_J by length.
 
     Walks the W-orbit of the dominant weight vector whose stabilizer is
-    W_J.  Crossing wall i from the positive side adds exactly one
-    inversion, so breadth-first levels are length classes and only two
-    levels live in memory at a time.
+    W_J (``_orbit_levels``); never builds a permutation.
     """
     J = rs.check_nodes(parabolic)
     expected = weyl_order(rs) // parabolic_order(rs, J)
@@ -288,25 +319,8 @@ def coset_length_counts(
         raise ValueError(
             f"coset family of size {expected} exceeds max_elements={max_elements}"
         )
-    n = rs.rank
-    rows = rs.cartan
-    start = tuple(0 if (i + 1) in J else 1 for i in range(n))
-    counts: dict[int, int] = {}
-    level = {start}
-    length = 0
-    total = 0
-    while level:
-        counts[length] = len(level)
-        total += len(level)
-        nxt = set()
-        for u in level:
-            for i in range(n):
-                ui = u[i]
-                if ui > 0:
-                    row = rows[i]
-                    nxt.add(tuple(u[j] - ui * row[j] for j in range(n)))
-        level = nxt
-        length += 1
+    counts = {length: len(level) for length, level in enumerate(_orbit_levels(rs, J))}
+    total = sum(counts.values())
     if total != expected:
         raise AssertionError(
             f"orbit size {total} != |W|/|W_J| = {expected}; root data corrupt"
@@ -357,28 +371,6 @@ def longest_element_length(rs: RootSystem, parabolic: Iterable[int]) -> int:
     return rs.num_positive - rs.positive_count_in(J)
 
 
-def _star_table(rs: RootSystem, star: DiagramAut) -> tuple[int, ...]:
-    """Positive-root permutation induced by a diagram automorphism."""
-    perm = []
-    for v in rs.positive_roots:
-        w = [0] * rs.rank
-        for i, c in enumerate(v):
-            w[star(i + 1) - 1] = c
-        perm.append(rs.root_index(w))
-    return tuple(perm)
-
-
-def _conjugate_by_star(
-    action: tuple[int, ...], table: tuple[int, ...], inv_table: tuple[int, ...]
-) -> tuple[int, ...]:
-    # (star w star^-1)(a_r) = star(w(star^-1 a_r)); positivity is preserved
-    out = []
-    for r in range(len(action)):
-        y = action[inv_table[r]]
-        out.append(table[y] if y >= 0 else ~table[~y])
-    return tuple(out)
-
-
 def double_cosets(
     rs: RootSystem,
     left: Iterable[int],
@@ -391,6 +383,13 @@ def double_cosets(
     (number of right cosets it contains), and whether the star action
     maps the cell to itself.  star=None means the identity action, under
     which every cell is invariant.  Cells are sorted by (length, action).
+
+    The cells are read off the weight orbit W.lambda_J (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, 2.7): each W_I-orbit holds exactly
+    one vector mu with mu_i >= 0 for every i in I, the image of the
+    cell's minimal representative; the cell holds |W_I| / |W_K| cosets
+    with K = {i in I : mu_i = 0}, the stabilizer of mu in W_I; and the
+    star maps the cell of mu to the cell of mu with permuted coordinates.
     """
     I = rs.check_nodes(left)
     J = rs.check_nodes(right)
@@ -399,74 +398,48 @@ def double_cosets(
             raise ValueError(f"star action does not stabilize left nodes {sorted(I)}")
         if not star.stabilizes(J):
             raise ValueError(f"star action does not stabilize right nodes {sorted(J)}")
+    index = _check_index(rs, J)
 
-    reps: list[tuple[int, tuple[int, ...]]] = [
-        (rep.element.length, rep.element.action) for rep in minimal_coset_reps(rs, J)
-    ]
-    rep_index = {act: k for k, (_, act) in enumerate(reps)}
+    left_pos = [i - 1 for i in sorted(I)]
+    walked = 0
+    dominant: list[tuple[int, ...]] = []
+    for level in _orbit_levels(rs, J):
+        walked += len(level)
+        dominant.extend(mu for mu in level if all(mu[i] >= 0 for i in left_pos))
+
+    rows = rs.cartan
     tables = rs.simple_reflection_tables
-    jpos = [(j, rs.simple_root_index(j)) for j in sorted(J)]
+    # level 0 is lambda_J alone, the image of the identity
+    actions = {dominant[0]: tuple(range(rs.num_positive))}
 
-    def project(act: tuple[int, ...]) -> tuple[int, ...]:
-        # peel right descents inside J until the representative is J-reduced
-        while True:
-            for j, p in jpos:
-                if act[p] < 0:
-                    act = _right_mul(act, tables[j - 1])
-                    break
-            else:
-                return act
+    def action_of(mu: tuple[int, ...]) -> tuple[int, ...]:
+        # walk back to lambda_J through the first negative coordinate; every
+        # step removes one inversion, so mu's rep is s_i times its parent's
+        path = []
+        while mu not in actions:
+            i, mu_i = next((i, c) for i, c in enumerate(mu) if c < 0)
+            path.append((mu, i))
+            mu = tuple(m - mu_i * r for m, r in zip(mu, rows[i]))
+        act = actions[mu]
+        for nu, i in reversed(path):
+            act = actions[nu] = _left_mul(tables[i], act)
+        return act
 
-    cell_of = [-1] * len(reps)
-    cells: list[list[int]] = []
-    left_tables = [tables[i - 1] for i in sorted(I)]
-    for start in range(len(reps)):
-        if cell_of[start] >= 0:
-            continue
-        cid = len(cells)
-        members = [start]
-        cell_of[start] = cid
-        stack = [start]
-        while stack:
-            k = stack.pop()
-            act = reps[k][1]
-            for tab in left_tables:
-                u = project(_left_mul(tab, act))
-                ku = rep_index[u]
-                if cell_of[ku] < 0:
-                    cell_of[ku] = cid
-                    members.append(ku)
-                    stack.append(ku)
-        cells.append(members)
-
-    if star is None or star.is_identity:
-        star_cell = list(range(len(cells)))
-    else:
-        table = _star_table(rs, star)
-        inv_table = _star_table(rs, star.inverse())
-        star_cell = []
-        for members in cells:
-            min_k = min(members, key=lambda k: (reps[k][0], reps[k][1]))
-            mapped = _conjugate_by_star(reps[min_k][1], table, inv_table)
-            star_cell.append(cell_of[rep_index[mapped]])
-
-    out = []
-    for cid, members in enumerate(cells):
-        lengths = [reps[k][0] for k in members]
-        shortest = min(lengths)
-        if lengths.count(shortest) != 1:
-            raise AssertionError("double coset minimal representative not unique")
-        min_rep = WeylElement(reps[members[lengths.index(shortest)]][1])
-        out.append(
-            DoubleCosetCell(
-                min_rep=min_rep,
-                left_nodes=I,
-                right_nodes=J,
-                orbit_size=len(members),
-                star_invariant=star_cell[cid] == cid,
-            )
+    perm = None if star is None else [star(i + 1) - 1 for i in range(rs.rank)]
+    left_order = parabolic_order(rs, I)
+    stabilizer_order = functools.cache(lambda K: parabolic_order(rs, K))
+    out = [
+        DoubleCosetCell(
+            min_rep=WeylElement(action_of(mu)),
+            left_nodes=I,
+            right_nodes=J,
+            orbit_size=left_order
+            // stabilizer_order(frozenset(i + 1 for i in left_pos if mu[i] == 0)),
+            star_invariant=perm is None or all(mu[p] == c for p, c in zip(perm, mu)),
         )
+        for mu in dominant
+    ]
     out.sort(key=lambda c: (c.min_rep.length, c.min_rep.action))
-    if sum(c.orbit_size for c in out) != len(reps):
+    if walked != index or sum(c.orbit_size for c in out) != index:
         raise AssertionError("double coset orbit sizes do not partition W/W_J")
     return out

@@ -10,7 +10,6 @@ from magicsq.qform import (
     killing_grid,
     norm_form,
     sign_form,
-    witt_index_r,
 )
 
 
@@ -36,8 +35,8 @@ def test_form_operations():
     assert DiagFormR(7, 0).scaled(-1) == DiagFormR(0, 7)
     assert DiagFormR(7, 0).scaled(+1) == DiagFormR(7, 0)
     assert 3 * DiagFormR(1, 2) == DiagFormR(3, 6)
-    assert witt_index_r(DiagFormR(7, 0)) == 0
-    assert witt_index_r(DiagFormR(1, 1)) == 1
+    assert DiagFormR(7, 0).witt_index == 0
+    assert DiagFormR(1, 1).witt_index == 1
 
 
 def test_sign_form_validation():

@@ -278,6 +278,19 @@ def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
                 "fixtures": [{"name": "x", "kind": "identity", "total": {}, "terms": []}],
             }
         ),
+        "term-without-shifts.json": json.dumps(
+            {
+                "version": 1,
+                "fixtures": [
+                    {
+                        "name": "x",
+                        "kind": "identity",
+                        "total": {"poincare": {"type": "E7", "variety": [1]}},
+                        "terms": [{"kind": "upper"}],
+                    }
+                ],
+            }
+        ),
     }
     paths = [str(tmp_path / "missing.json")]
     for name, text in bad_docs.items():

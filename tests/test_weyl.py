@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from magicsq import weyl
+from magicsq.cli import main
 from magicsq.polyring import IntPoly
 from magicsq.rootsys import CartanType, build_root_system, opposition_involution
 from magicsq.weyl import (
@@ -160,12 +164,22 @@ def test_full_group_guards():
         minimal_coset_reps(_rs("A3"), {5})  # bad node set fails eagerly
 
 
-def test_quotient_enumeration_guard():
+def test_quotient_enumeration_guard(monkeypatch, capsys):
     # the index is checked at call time, before any permutation is built
     with pytest.raises(ValueError, match="348364800 cosets"):
         minimal_coset_reps(_rs("E8"), {1})
-    with pytest.raises(ValueError):
+
+    def no_walk(*args):
+        raise AssertionError("orbit walk started before the index guard")
+
+    monkeypatch.setattr(weyl, "_orbit_levels", no_walk)
+    with pytest.raises(ValueError, match="348364800 cosets"):
         double_cosets(_rs("E8"), {1}, {1})
+    # the full group gets the same guard, which the CLI reports as is
+    assert main(["weyl", "double-cosets", "--type", "E7", "--left", "1", "--right", ""]) == 2
+    assert capsys.readouterr().err == (
+        "error: W/W_J has 2903040 cosets, above the enumeration limit of 100000\n"
+    )
     # E7 / W_{2..6}: 1512 cosets stays under the limit
     assert next(iter(minimal_coset_reps(_rs("E7"), {2, 3, 4, 5, 6}))).element.is_identity
 
@@ -283,6 +297,90 @@ def test_double_coset_partition_property(label, left, right):
     lengths = [c.min_rep.length for c in cells]
     assert lengths == sorted(lengths)
     assert lengths[0] == 0  # the identity double coset
+
+
+def _kilmoyer_table(rs, right, star):
+    """Per minimal coset rep w of W/W_right, what the reference needs.
+
+    Built on the permutation side alone: w's left descents; the nodes i
+    with w^-1(a_i) a simple root of J; and whether conjugating by the
+    star, i.e. multiplying out the star-mapped reduced word, gives w back.
+    """
+    simple_in_right = {rs.simple_root_index(j) for j in right}
+    table = []
+    for rep in minimal_coset_reps(rs, right):
+        w = rep.element
+        w_inv = w.inverse()
+        to_simple = frozenset(
+            i
+            for i in range(1, rs.rank + 1)
+            if w_inv.apply(rs.simple_root_index(i)) in simple_in_right
+        )
+        fixed = True
+        if star is not None:
+            conj = identity(rs)
+            for i in reduced_word(rs, w):
+                conj = conj * simple_reflection(rs, star(i))
+            fixed = conj == w
+        table.append((w, left_descents(rs, w), to_simple, fixed))
+    return table
+
+
+def _kilmoyer_cells(rs, table, left):
+    """Double cosets W_I\\W/W_J, sorted like double_cosets.
+
+    The minimal double coset reps are the w in W^J with no left descent
+    in I.  By Kilmoyer's theorem W_I meets w W_J w^-1 in W_K, with
+    K = {i in I : w^-1(a_i) is a simple root of J}, so the cell holds
+    |W_I| / |W_K| cosets.  The star maps w to a minimal rep again, so the
+    cell is fixed iff the star fixes w.
+    """
+    left_order = parabolic_order(rs, left)
+    return sorted(
+        (w.length, w.action, left_order // parabolic_order(rs, to_simple & left), fixed)
+        for w, descents, to_simple, fixed in table
+        if not descents & left
+    )
+
+
+def _kilmoyer_catalog(max_index=200):
+    cases = []
+    for label in ("A3", "B3", "C3", "D4", "G2", "F4"):
+        rs = _rs(label)
+        opp = opposition_involution(rs)
+        subsets = [
+            frozenset(s)
+            for k in range(rs.rank + 1)
+            for s in itertools.combinations(range(1, rs.rank + 1), k)
+        ]
+        for right in subsets:
+            if weyl_order(rs) // parabolic_order(rs, right) > max_index:
+                continue
+            for left in subsets:
+                cases.append((label, left, right, None))
+                if not opp.is_identity and opp.stabilizes(left) and opp.stabilizes(right):
+                    cases.append((label, left, right, "opposition"))
+    for right in ({1, 3, 4, 5, 6}, {2, 3, 4, 5}):
+        cases.append(("E6", frozenset({3, 4, 5}), frozenset(right), "opposition"))
+    return cases
+
+
+def test_double_cosets_match_kilmoyer_reference():
+    cases = _kilmoyer_catalog()
+    assert len(cases) == 610
+    tables = {}
+    for label, left, right, star_name in cases:
+        rs = _rs(label)
+        star = opposition_involution(rs) if star_name else None
+        if (label, right, star_name) not in tables:
+            tables[label, right, star_name] = _kilmoyer_table(rs, right, star)
+        cells = double_cosets(rs, left, right, star)
+        got = [
+            (c.min_rep.length, c.min_rep.action, c.orbit_size, c.star_invariant)
+            for c in cells
+        ]
+        expected = _kilmoyer_cells(rs, tables[label, right, star_name], left)
+        assert got == expected, (label, sorted(left), sorted(right), star_name)
 
 
 def test_f4_quotients_match_classical_counts():
