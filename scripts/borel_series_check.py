@@ -11,8 +11,13 @@ pair (I, J) of index |W/W_J| <= 2e4 over DOUBLE_COSET_TYPES, with the
 opposition involution as star wherever it fixes I and J, the double
 cosets of the weight-orbit route ``double_cosets`` against the
 permutation-side Kilmoyer reference of ``tests/test_weyl.py``, cell by
-cell: minimal representative, size and star invariance.  The sweeps take
-minutes, which is why this is a script and not a test.
+cell: minimal representative, size and star invariance.  Fourth, for
+every sigma-stable variety of index <= 2e4 over TWISTED_TYPES, the
+conormed polynomial (the sigma-fixed orbit vectors of the walk) against
+the permutation-side reference of ``tests/test_poincare.py`` (the
+minimal coset reps whose sigma-mapped reduced word multiplies back to
+them).  The sweeps take minutes, which is why this is a script and not a
+test.
 
     PYTHONPATH=src python3 scripts/borel_series_check.py
 """
@@ -22,6 +27,7 @@ import pathlib
 import sys
 import time
 
+from magicsq.poincare import conormed_poincare
 from magicsq.polyring import IntPoly
 from magicsq.rootsys import CartanType, build_root_system, opposition_involution
 from magicsq.weyl import (
@@ -52,8 +58,11 @@ DOUBLE_COSET_TYPES = [
     "D4", "D5", "F4", "G2", "E6",
 ]
 DOUBLE_COSET_MAX_INDEX = 20_000
+TWISTED_TYPES = ["2A2", "2A3", "2A4", "2A5", "2D4", "2D5", "2E6"]
+TWISTED_MAX_INDEX = 20_000
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from test_poincare import sigma_fixed_reference, sigma_stable_varieties  # noqa: E402
 from test_weyl import _kilmoyer_cells, _kilmoyer_table  # noqa: E402
 
 
@@ -146,10 +155,35 @@ def check_double_cosets():
           f"route {orbit_s:.2f}s, Kilmoyer reference {reference_s:.2f}s")
 
 
+def check_conormed():
+    cases = 0
+    orbit_s = reference_s = 0.0
+    for label in TWISTED_TYPES:
+        checked = 0
+        for fv in sigma_stable_varieties(label, TWISTED_MAX_INDEX):
+            t0 = time.perf_counter()
+            by_orbit = conormed_poincare(fv)
+            t1 = time.perf_counter()
+            by_reference = sigma_fixed_reference(fv)
+            t2 = time.perf_counter()
+            orbit_s += t1 - t0
+            reference_s += t2 - t1
+            if by_orbit != by_reference:
+                raise AssertionError(
+                    f"{label} X_{sorted(fv.parabolic_type)}: orbit route != reference"
+                )
+            checked += 1
+        print(f"{label:3}  {checked:3} sigma-stable varieties ok")
+        cases += checked
+    print(f"{cases} conormed polynomials of index <= {TWISTED_MAX_INDEX:,}: orbit "
+          f"route {orbit_s:.2f}s, permutation reference {reference_s:.2f}s")
+
+
 def main():
     check_groups()
     check_quotients()
     check_double_cosets()
+    check_conormed()
 
 
 if __name__ == "__main__":

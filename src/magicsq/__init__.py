@@ -71,6 +71,7 @@ from .rootsys import (
     diagram_aut,
     identity_aut,
     opposition_involution,
+    twist_aut,
     root_system_to_json,
     sub_diagram_type,
 )

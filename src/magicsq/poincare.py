@@ -11,9 +11,12 @@ The split Poincare polynomial is computed in closed form by
 walk ``weyl.coset_length_counts`` cross-checks it in the tests and in
 ``verify``.
 
-The two conormed Poincare polynomials are pinned per-instance data for
-the quasi-split outer E6 varieties X_2 and X_{1,6}; no general conormed
-algorithm is provided (only those two closed formulas are available).
+The conormed Poincare polynomial of a sigma-stable variety X_I of a
+quasi-split outer form (2A_n, 2D_n, 2E6), sigma being the diagram twist,
+sums t^l(w) over the sigma-fixed minimal coset reps w of W/W_Levi.  It
+counts the F_q-points of the quasi-split variety: each sigma-stable
+Schubert cell is a connected unipotent group with q^l(w) rational points.
+The same orbit walk reads it off, keeping the sigma-fixed orbit vectors.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import weyl
-from .polyring import IntPoly, eval_rational, parse_poly
-from .rootsys import CartanType, build_root_system
+from .polyring import IntPoly
+from .rootsys import CartanType, build_root_system, twist_aut
 
 
 class NotSpecifiedError(ValueError):
@@ -65,35 +68,22 @@ def dim_flag(fv: FlagVariety) -> int:
     return weyl.longest_element_length(rs, fv.levi_nodes)
 
 
-# Pinned conormed data: quasi-split outer E6, varieties X_2 and X_{1,6}.
-_CONORMED: dict[frozenset[int], tuple[tuple[str, ...], tuple[str, ...]]] = {
-    frozenset({2}): (
-        ("t^8-1", "t^12-1", "t^9+1"),
-        ("t-1", "t^4-1", "t^3+1"),
-    ),
-    frozenset({1, 6}): (
-        ("t^8-1", "t^12-1", "t^5+1", "t^9+1"),
-        ("t-1", "t+1", "t^4-1", "t^4+1"),
-    ),
-}
-
-
 @lru_cache(maxsize=None)
 def conormed_poincare(fv: FlagVariety) -> IntPoly:
-    """Conormed Poincare polynomial for the two pinned outer-E6 varieties."""
-    key = frozenset(fv.parabolic_type)
-    if (
-        fv.ambient.series != "E"
-        or fv.ambient.rank != 6
-        or fv.ambient.outer_twist != 2
-        or key not in _CONORMED
-    ):
-        raise NotSpecifiedError(
-            f"conormed Poincare polynomial for ({fv.ambient}, X_"
-            f"{','.join(map(str, sorted(fv.parabolic_type)))}) "
-            "not specified by source"
-        )
-    nums, dens = _CONORMED[key]
-    return eval_rational(
-        [parse_poly(s) for s in nums], [parse_poly(s) for s in dens]
+    """Sum of t^l(w) over the sigma-fixed minimal coset reps of W/W_Levi.
+
+    Defined for a sigma-stable variety of an outer form (twist label 2);
+    anything else raises NotSpecifiedError.
+    """
+    if fv.ambient.outer_twist == 2:
+        rs = build_root_system(fv.ambient)
+        sigma = twist_aut(rs)
+        if sigma.stabilizes(fv.parabolic_type):
+            return weyl.length_counts_to_poly(
+                weyl.coset_length_counts(rs, fv.levi_nodes, sigma)
+            )
+    raise NotSpecifiedError(
+        f"conormed Poincare polynomial for ({fv.ambient}, X_"
+        f"{','.join(map(str, sorted(fv.parabolic_type)))}) "
+        "not specified by source"
     )

@@ -156,16 +156,10 @@ class RootSystem:
             self._reflection_table(i) for i in range(self.rank)
         )
 
-    def _reflect(self, v: tuple[int, ...], j: int) -> tuple[int, ...]:
-        c = sum(self.cartan[i][j] * v[i] for i in range(self.rank))
-        w = list(v)
-        w[j] = v[j] - c
-        return tuple(w)
-
     def _reflection_table(self, j: int) -> tuple[int, ...]:
         out = []
         for v in self.positive_roots:
-            w = self._reflect(v, j)
+            w = _reflect(self.cartan, v, j)
             if all(x >= 0 for x in w):
                 out.append(self._root_index[w])
             else:
@@ -199,23 +193,23 @@ class RootSystem:
         return f"RootSystem({self.ctype}, {self.num_positive} positive roots)"
 
 
+def _reflect(cartan, v: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """s_j(v): only coordinate j changes, by the pairing of v with coroot j."""
+    w = list(v)
+    w[j] = v[j] - sum(cartan[i][j] * v[i] for i in range(len(cartan)))
+    return tuple(w)
+
+
 def _close_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
     n = len(cartan)
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-
-    def reflect(v, j):
-        c = sum(cartan[i][j] * v[i] for i in range(n))
-        w = list(v)
-        w[j] = v[j] - c
-        return tuple(w)
-
     roots = set(simples)
     frontier = list(simples)
     while frontier:
         nxt = []
         for v in frontier:
             for j in range(n):
-                w = reflect(v, j)
+                w = _reflect(cartan, v, j)
                 if all(x >= 0 for x in w) and w not in roots:
                     roots.add(w)
                     nxt.append(w)
@@ -263,6 +257,26 @@ def diagram_aut(rs: RootSystem, node_permutation: Sequence[int]) -> DiagramAut:
             if a[perm[i] - 1][perm[j] - 1] != a[i][j]:
                 raise ValueError(f"{perm} does not preserve the Cartan matrix")
     return DiagramAut(perm)
+
+
+def twist_aut(rs: RootSystem) -> DiagramAut:
+    """Diagram automorphism sigma named by the outer-twist label of rs.
+
+    Frobenius acts on the Dynkin diagram of the quasi-split form through
+    sigma: i -> n+1-i on 2A_n, the swap of n-1 and n on 2D_n, (1 6)(3 5)
+    on 2E6, and the identity on a split type.  On D_2k sigma is not -w0,
+    which is the identity there.
+    """
+    n = rs.rank
+    perm = list(range(1, n + 1))
+    if rs.ctype.outer_twist == 2:
+        if rs.ctype.series == "A":
+            perm.reverse()
+        elif rs.ctype.series == "D":
+            perm[n - 2], perm[n - 1] = n, n - 1
+        else:
+            perm = [6, 2, 5, 4, 3, 1]
+    return diagram_aut(rs, perm)
 
 
 def opposition_involution(rs: RootSystem) -> DiagramAut:

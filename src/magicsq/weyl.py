@@ -16,13 +16,16 @@ two levels at a time.  The counts cross-check ``quotient_poly`` in the
 tests and in ``verify``; a double coset is an orbit vector dominant on the
 left nodes, and only its minimal representative is built as a permutation.
 
+Given a diagram automorphism sigma, ``coset_length_counts`` keeps only
+the orbit vectors whose coordinates sigma maps back to themselves: the
+sigma-fixed minimal coset reps, whose lengths count the cells of the
+quasi-split flag variety.
+
 Permutations are enumerated only by ``minimal_coset_reps`` (breadth-first
 from the identity, keeping J-reduced elements), ``chain_length_polynomial``
-and the reference implementations in the tests.  ``minimal_coset_reps``
-and ``double_cosets`` check the index |W|/|W_J| at call time and refuse a
-quotient beyond a comfort threshold; ``minimal_coset_reps`` also refuses
-the full group of rank 8 and wants a guard flag for a large one of rank
-<= 7.
+and the reference implementations in the tests.  Every enumeration of a
+quotient, the full group included, checks the index |W|/|W_J| at call
+time (``_check_index``) and refuses one beyond its limit.
 """
 
 from __future__ import annotations
@@ -41,12 +44,10 @@ from .rootsys import (
     sub_diagram_type,
 )
 
-# Enumeration guard (minimal_coset_reps, double_cosets): refuse quotients
-# beyond this many cosets; minimal_coset_reps also refuses the full group of
-# rank 8 outright and demands an explicit flag for rank <= 7 full groups
-# beyond this many elements.
-_FULL_GROUP_SOFT_LIMIT = 100_000
-_LEAN_COUNT_LIMIT = 2_000_000
+# Index limits of _check_index: the permutation-building enumerations
+# (minimal_coset_reps, double_cosets) and the bare orbit count.
+_ENUMERATION_LIMIT = 100_000
+_ORBIT_COUNT_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,43 +231,25 @@ def _coset_bfs(
         length += 1
 
 
-def _check_index(rs: RootSystem, J: frozenset[int]) -> int:
-    """|W|/|W_J|, refused above _FULL_GROUP_SOFT_LIMIT before anything is built."""
+def _check_index(rs: RootSystem, J: frozenset[int], limit: int) -> int:
+    """|W|/|W_J|, refused above limit before anything is built."""
     index = weyl_order(rs) // parabolic_order(rs, J)
-    if index > _FULL_GROUP_SOFT_LIMIT:
+    if index > limit:
         raise ValueError(
-            f"W/W_J has {index} cosets, above the enumeration limit of "
-            f"{_FULL_GROUP_SOFT_LIMIT}"
+            f"W/W_J has {index} cosets, above the enumeration limit of {limit}"
         )
     return index
 
 
-def minimal_coset_reps(
-    rs: RootSystem,
-    parabolic: Iterable[int],
-    *,
-    allow_full_group: bool = False,
-) -> Iterator[CosetRep]:
+def minimal_coset_reps(rs: RootSystem, parabolic: Iterable[int]) -> Iterator[CosetRep]:
     """Stream the minimal-length representatives of W / W_parabolic.
 
     Deterministic order: by (length, action tuple).  A quotient with
-    more than _FULL_GROUP_SOFT_LIMIT cosets is refused.  An empty
-    parabolic enumerates the whole group, which is refused for rank 8 and
-    demands allow_full_group=True beyond that size for rank <= 7.
-    Guards fire at call time, not at first consumption.
+    more than _ENUMERATION_LIMIT cosets is refused, the full group (empty
+    parabolic) included, at call time rather than at first consumption.
     """
     J = rs.check_nodes(parabolic)
-    if J:
-        _check_index(rs, J)
-    elif rs.rank >= 8:
-        raise ValueError(
-            "full-group enumeration is disabled for rank 8; "
-            "use coset-quotient algorithms instead"
-        )
-    elif weyl_order(rs) > _FULL_GROUP_SOFT_LIMIT and not allow_full_group:
-        raise ValueError(
-            f"enumerating all {weyl_order(rs)} elements needs allow_full_group=True"
-        )
+    _check_index(rs, J, _ENUMERATION_LIMIT)
     gens = list(range(1, rs.rank + 1))
 
     def stream() -> Iterator[CosetRep]:
@@ -305,25 +288,32 @@ def _orbit_levels(
 def coset_length_counts(
     rs: RootSystem,
     parabolic: Iterable[int],
-    *,
-    max_elements: int = _LEAN_COUNT_LIMIT,
+    star: DiagramAut | None = None,
 ) -> dict[int, int]:
     """Count minimal coset representatives of W/W_J by length.
 
     Walks the W-orbit of the dominant weight vector whose stabilizer is
-    W_J (``_orbit_levels``); never builds a permutation.
+    W_J (``_orbit_levels``); never builds a permutation.  With a star,
+    only the reps it fixes count: w.lambda_J with coordinates permuted by
+    the star is star(w).lambda_J, so w is fixed iff its orbit vector is
+    (never, unless the star stabilizes J).  Lengths without a counted rep
+    are left out.
     """
     J = rs.check_nodes(parabolic)
-    expected = weyl_order(rs) // parabolic_order(rs, J)
-    if expected > max_elements:
-        raise ValueError(
-            f"coset family of size {expected} exceeds max_elements={max_elements}"
+    index = _check_index(rs, J, _ORBIT_COUNT_LIMIT)
+    perm = None if star is None else [star(i + 1) - 1 for i in range(rs.rank)]
+    walked = 0
+    counts = {}
+    for length, level in enumerate(_orbit_levels(rs, J)):
+        walked += len(level)
+        fixed = len(level) if perm is None else sum(
+            all(mu[p] == c for p, c in zip(perm, mu)) for mu in level
         )
-    counts = {length: len(level) for length, level in enumerate(_orbit_levels(rs, J))}
-    total = sum(counts.values())
-    if total != expected:
+        if fixed:
+            counts[length] = fixed
+    if walked != index:
         raise AssertionError(
-            f"orbit size {total} != |W|/|W_J| = {expected}; root data corrupt"
+            f"orbit size {walked} != |W|/|W_J| = {index}; root data corrupt"
         )
     return counts
 
@@ -398,7 +388,7 @@ def double_cosets(
             raise ValueError(f"star action does not stabilize left nodes {sorted(I)}")
         if not star.stabilizes(J):
             raise ValueError(f"star action does not stabilize right nodes {sorted(J)}")
-    index = _check_index(rs, J)
+    index = _check_index(rs, J, _ENUMERATION_LIMIT)
 
     left_pos = [i - 1 for i in sorted(I)]
     walked = 0

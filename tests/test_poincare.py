@@ -16,14 +16,16 @@ from magicsq.poincare import (
     dim_flag,
     poincare_poly,
 )
-from magicsq.polyring import IntPoly
-from magicsq.rootsys import CartanType, build_root_system
+from magicsq.polyring import IntPoly, eval_rational
+from magicsq.rootsys import CartanType, build_root_system, twist_aut
 from magicsq.weyl import (
     coset_length_counts,
     fundamental_degrees,
     length_counts_to_poly,
+    minimal_coset_reps,
     parabolic_order,
     quotient_poly,
+    reduced_word,
     weyl_order,
 )
 
@@ -183,6 +185,86 @@ def test_conormed_unsupported_instances():
         conormed_poincare(_fv("E6", {2}))  # inner form: no pinned formula
     with pytest.raises(NotSpecifiedError):
         conormed_poincare(_fv("E7", {1}))
+
+
+TWISTED_TYPES = ["2A2", "2A3", "2A4", "2A5", "2D4", "2D5", "2E6"]
+TWISTED_MAX_INDEX = 6_000
+
+
+def sigma_stable_varieties(label, max_index):
+    """Every sigma-stable circled set of label whose quotient is small enough."""
+    rs = build_root_system(CartanType.from_string(label))
+    sigma = twist_aut(rs)
+    for k in range(1, rs.rank + 1):
+        for circled in itertools.combinations(range(1, rs.rank + 1), k):
+            fv = _fv(label, circled)
+            if (
+                sigma.stabilizes(circled)
+                and weyl_order(rs) // parabolic_order(rs, fv.levi_nodes) <= max_index
+            ):
+                yield fv
+
+
+def sigma_fixed_reference(fv):
+    """Conormed polynomial on the permutation side alone.
+
+    Counts by length the minimal coset reps w of W/W_Levi whose
+    sigma-mapped reduced word multiplies back to w.
+    """
+    rs = build_root_system(fv.ambient)
+    sigma = twist_aut(rs)
+    sigma_tables = [
+        rs.simple_reflection_tables[sigma(i) - 1] for i in range(1, rs.rank + 1)
+    ]
+    counts = {}
+    for rep in minimal_coset_reps(rs, fv.levi_nodes):
+        w = rep.element
+        conj = tuple(range(rs.num_positive))
+        for i in reduced_word(rs, w):
+            conj = tuple(conj[x] if x >= 0 else ~conj[~x] for x in sigma_tables[i - 1])
+        if conj == w.action:
+            counts[w.length] = counts.get(w.length, 0) + 1
+    return length_counts_to_poly(counts)
+
+
+def test_conormed_matches_permutation_reference():
+    cases = [
+        fv for label in TWISTED_TYPES for fv in sigma_stable_varieties(label, TWISTED_MAX_INDEX)
+    ]
+    assert len(cases) == 42
+    for fv in cases:
+        assert conormed_poincare(fv) == sigma_fixed_reference(fv), fv
+
+
+# Steinberg: the degree-d invariant of W is an eigenvector of sigma with
+# eigenvalue eps_d; the eps_d = -1 degrees are listed here.
+NEGATIVE_EPSILON_DEGREES = {
+    "2A2": [3], "2A3": [3], "2A4": [3, 5], "2A5": [3, 5],
+    "2D4": [4], "2D5": [5], "2E6": [5, 9],
+}
+
+
+@pytest.mark.parametrize("label", sorted(NEGATIVE_EPSILON_DEGREES))
+def test_conormed_borel_matches_steinberg(label):
+    # |G(F_q)/B(F_q)| = prod (q^d - eps_d) / prod over sigma-orbits O of
+    # nodes of (q^|O| - 1), the quasi-split torus being a product of
+    # restrictions of scalars
+    rs = build_root_system(CartanType.from_string(label))
+    sigma = twist_aut(rs)
+    negative = list(NEGATIVE_EPSILON_DEGREES[label])
+    num = []
+    for d in fundamental_degrees(rs):
+        eps = 1
+        if d in negative:  # once only: 2D4 has two degree-4 invariants
+            negative.remove(d)
+            eps = -1
+        num.append(IntPoly([-eps] + [0] * (d - 1) + [1]))
+    orbits = {frozenset({i, sigma(i)}) for i in range(1, rs.rank + 1)}
+    den = [IntPoly([-1] + [0] * (len(o) - 1) + [1]) for o in orbits]
+    borel = conormed_poincare(_fv(label, range(1, rs.rank + 1)))
+    assert borel == eval_rational(num, den)
+    if label == "2E6":
+        assert borel(1) == 1152  # |W(F4)|: sigma-fixed points of W(E6)
 
 
 def test_memoized_results_are_stable():

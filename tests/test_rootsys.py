@@ -9,6 +9,7 @@ from magicsq.rootsys import (
     opposition_involution,
     root_system_to_json,
     sub_diagram_type,
+    twist_aut,
 )
 
 # classical positive-root counts
@@ -149,6 +150,22 @@ def test_opposition_involution(label, perm):
     assert aut.node_permutation == perm
     # involutive
     assert all(aut(aut(i)) == i for i in range(1, rs.rank + 1))
+
+
+@pytest.mark.parametrize(
+    "label,perm",
+    [
+        ("2A2", (2, 1)),
+        ("2A5", (5, 4, 3, 2, 1)),
+        ("2D4", (1, 2, 4, 3)),  # while -w0 is the identity on D4
+        ("2D5", (1, 2, 3, 5, 4)),
+        ("2E6", (6, 2, 5, 4, 3, 1)),
+        ("E6", (1, 2, 3, 4, 5, 6)),  # split: Frobenius acts trivially
+    ],
+)
+def test_twist_aut(label, perm):
+    rs = build_root_system(CartanType.from_string(label))
+    assert twist_aut(rs).node_permutation == perm
 
 
 def test_diagram_aut_validation():

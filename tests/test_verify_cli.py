@@ -123,6 +123,16 @@ def test_cli_poincare_conormed(capsys):
     assert code == 0 and payload["degree"] == 24
     code, _ = run_cli(capsys, "poincare", "--type", "2E6", "--variety", "3", "--conormed")
     assert code == 2
+    # every sigma-stable variety gets its polynomial, not just the two in the paper
+    code, out = run_cli(capsys, "poincare", "--type", "2E6", "--variety", "4", "--conormed")
+    assert code == 0 and json.loads(out)["degree"] == 29
+
+
+def test_cli_conormed_size_guard(capsys):
+    nodes = ",".join(map(str, range(1, 13)))
+    code = main(["poincare", "--type", "2A12", "--variety", nodes, "--conormed"])
+    assert code == 2
+    assert "6227020800 cosets" in capsys.readouterr().err
 
 
 def test_cli_weyl_verbs(capsys):

@@ -154,12 +154,7 @@ def test_full_group_guards():
     with pytest.raises(ValueError):
         minimal_coset_reps(_rs("E8"), ())
     with pytest.raises(ValueError):
-        minimal_coset_reps(_rs("E8"), (), allow_full_group=True)
-    with pytest.raises(ValueError):
-        minimal_coset_reps(_rs("E7"), ())  # above soft limit, no flag
-    # the flag opens rank <= 7 only
-    reps = minimal_coset_reps(_rs("E7"), (), allow_full_group=True)
-    assert next(iter(reps)).element.is_identity
+        minimal_coset_reps(_rs("E7"), ())  # above the enumeration limit
     with pytest.raises(ValueError):
         minimal_coset_reps(_rs("A3"), {5})  # bad node set fails eagerly
 
@@ -197,7 +192,7 @@ def test_coset_length_counts_matches_reps():
 
 def test_coset_length_counts_size_guard():
     with pytest.raises(ValueError):
-        coset_length_counts(_rs("E8"), {8}, max_elements=1000)
+        coset_length_counts(_rs("E8"), {8})
 
 
 @pytest.mark.parametrize(
