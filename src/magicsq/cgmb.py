@@ -17,10 +17,10 @@ found in a fixed search order, so reruns reproduce it bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import weyl
+from ._record import record
 from .polyring import IntPoly
 from .rootsys import DiagramAut, RootSystem
 
@@ -31,7 +31,7 @@ KIND_COR_QUADRATIC = "cor-quadratic"
 _KINDS = (KIND_TATE, KIND_UPPER, KIND_COR_QUADRATIC)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MotiveTerm:
     """One summand: kind, Tate shift, and (for upper blocks) a polynomial."""
 
@@ -58,7 +58,7 @@ class MotiveTerm:
         return self.block.shift(self.shift)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Decomposition:
     total: IntPoly
     terms: tuple[MotiveTerm, ...]
@@ -171,7 +171,7 @@ def witness_sum(
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BlockDescriptor:
     """Catalog entry: block name, term kind, splitting-field polynomial."""
 

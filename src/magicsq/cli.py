@@ -52,14 +52,18 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _nodes(text: str) -> frozenset[int]:
+def _ints(text: str, what: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
-        return frozenset()
+        return ()
     try:
-        return frozenset(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"node list must be comma-separated integers, got {text!r}")
+        raise ValueError(f"{what} must be comma-separated integers, got {text!r}")
+
+
+def _nodes(text: str) -> frozenset[int]:
+    return frozenset(_ints(text, "node list"))
 
 
 def _poly_list(text: str) -> list[IntPoly]:
@@ -268,8 +272,7 @@ def _cmd_jinv(args) -> int:
         _emit_json({"prime": jinv.PRIME, "max_profiles": out})
         return 0
     if args.verb == "poly":
-        values = tuple(int(x) for x in args.j.split(","))
-        prof = jinv.profile(args.group, values)
+        prof = jinv.profile(args.group, _ints(args.j, "value vector"))
         payload = _poly_payload(jinv.upper_motive_poly(prof))
         payload["group"] = prof.group_label
         payload["j"] = list(prof.values)

@@ -20,10 +20,10 @@ The (d, k) table is shipped in the versioned data document; labels A1,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from ._data import tables
+from ._record import record
 from .polyring import IntPoly
 
 PRIME = 2
@@ -66,7 +66,7 @@ def _lookup(label: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
     return key, tuple(row["degrees"]), tuple(row["caps"])
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class JProfile:
     group_label: str
     degrees: tuple[int, ...]

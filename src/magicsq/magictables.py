@@ -10,9 +10,9 @@ of the degree-3 invariant, and the construction-condition rows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from ._data import tables
+from ._record import record
 
 
 class RostCondition(enum.Enum):
@@ -23,7 +23,7 @@ class RostCondition(enum.Enum):
     IMPOSSIBLE_WITH_SPLIT_TITS = "impossible-with-split-tits"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MagicCell:
     row_label: str
     col_label: str
@@ -31,7 +31,7 @@ class MagicCell:
     invariant_degree: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GroupConditionRow:
     group: str
     degree: int
@@ -53,7 +53,7 @@ class GroupConditionRow:
         return 2 ** (self.degree - 1) - 1
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TitsIndexCase:
     rost_condition: RostCondition
     circled_nodes: frozenset[int]
@@ -62,7 +62,7 @@ class TitsIndexCase:
     impossible: bool
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TitsConstructionRow:
     group: str
     construction: str
@@ -140,7 +140,13 @@ def tits_index_cases() -> tuple[TitsIndexCase, ...]:
 
 def tits_index_for_rost(cond: RostCondition | str) -> TitsIndexCase:
     if isinstance(cond, str):
-        cond = RostCondition(cond)
+        try:
+            cond = RostCondition(cond)
+        except ValueError:
+            names = ", ".join(c.value for c in RostCondition)
+            raise ValueError(
+                f"unknown Rost condition {cond!r}; known conditions: {names}"
+            ) from None
     for case in tits_index_cases():
         if case.rost_condition is cond:
             return case

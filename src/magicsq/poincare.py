@@ -21,10 +21,10 @@ The same orbit walk reads it off, keeping the sigma-fixed orbit vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import weyl
+from ._record import record
 from .polyring import IntPoly
 from .rootsys import CartanType, build_root_system, twist_aut
 
@@ -33,7 +33,7 @@ class NotSpecifiedError(ValueError):
     """Requested quantity has no pinned formula ("not specified by source")."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FlagVariety:
     """Flag variety X_I: ambient group type plus the circled node set I."""
 

@@ -23,8 +23,7 @@ so the semiring decision reduces to one exact division plus a sign scan.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 
 # Largest degree parse_poly accepts and eval_rational multiplies out: far
@@ -275,6 +274,10 @@ def _try_exact_div(p: IntPoly, q: IntPoly) -> IntPoly | None:
 
 def _rational_divmod(p: IntPoly, q: IntPoly):
     """Division in Q[t]; returns (quotient, remainder) as Fraction tuples."""
+    # imported here: only a failed exact division gets this far, and
+    # fractions (with decimal and numbers) costs every start about 3 ms
+    from fractions import Fraction
+
     rem = [Fraction(c) for c in p.coeffs]
     qc = [Fraction(c) for c in q.coeffs]
     dq = q.degree

@@ -13,16 +13,17 @@ convention independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import product
-from typing import Iterable
+
+from ._record import record
 
 QUATERNION = "quaternion"
 OCTONION = "octonion"
 _NORM_DIM = {QUATERNION: 4, OCTONION: 8}
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DiagFormR:
     pos: int
     neg: int
@@ -85,7 +86,7 @@ def sign_form(signs: Iterable[int]) -> DiagFormR:
     return DiagFormR(pos, neg)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CompositionAlgebraR:
     kind: str
     definite: bool

@@ -30,9 +30,10 @@ denotes its negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
+
+from ._record import record
 
 _SERIES_RANKS = {
     "A": lambda n: n >= 1,
@@ -48,7 +49,7 @@ _SERIES_RANKS = {
 _TWISTABLE = {"A", "D", "E"}
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CartanType:
     """A Dynkin type (series, rank) with an optional outer-twist label.
 
@@ -59,6 +60,14 @@ class CartanType:
     series: str
     rank: int
     outer_twist: int = 1
+
+    # Spelled out because the generic record __init__ is about 2x slower
+    # with a defaulted argument; every Levi component builds one.
+    def __init__(self, series: str, rank: int, outer_twist: int = 1):
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "outer_twist", outer_twist)
+        self.__post_init__()
 
     def __post_init__(self):
         ok = _SERIES_RANKS.get(self.series)
@@ -224,7 +233,7 @@ def build_root_system(ctype: CartanType) -> RootSystem:
     return RootSystem(ctype)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DiagramAut:
     """Permutation of Dynkin nodes; node_permutation[i-1] is the image of node i."""
 

@@ -12,15 +12,15 @@ import fnmatch
 import json
 import random
 import time
-from dataclasses import dataclass
 
 from . import cgmb, jinv, magictables, poincare, qform, weyl
 from ._data import fixtures as _fixture_doc
+from ._record import record
 from .polyring import IntPoly, divides_ring, divides_semiring
 from .rootsys import CartanType, build_root_system, opposition_involution
 
 
-@dataclass(slots=True)
+@record
 class CheckResult:
     name: str
     claim: str
@@ -30,7 +30,7 @@ class CheckResult:
     runtime_ms: float
 
 
-@dataclass(slots=True)
+@record
 class VerifyReport:
     checks: list[CheckResult]
 

@@ -33,9 +33,9 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
+from ._record import field, record
 from .polyring import IntPoly, eval_rational
 from .rootsys import (
     DiagramAut,
@@ -50,12 +50,21 @@ _ENUMERATION_LIMIT = 100_000
 _ORBIT_COUNT_LIMIT = 2_000_000
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WeylElement:
     """Group element as its action on positive-root indices (signed)."""
 
     action: tuple[int, ...]
     length: int = field(init=False, compare=False)
+
+    # __init__ and __hash__ are spelled out because the generic record
+    # methods are slower and the coset walks build one element per rep.
+    def __init__(self, action: tuple[int, ...]):
+        object.__setattr__(self, "action", action)
+        self.__post_init__()
+
+    def __hash__(self) -> int:
+        return hash((self.action,))
 
     def __post_init__(self):
         object.__setattr__(
@@ -87,7 +96,7 @@ class WeylElement:
         return WeylElement(tuple(inv))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CosetRep:
     """Minimal-length representative of a right coset w * W_J."""
 
@@ -95,7 +104,7 @@ class CosetRep:
     parabolic: frozenset[int]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DoubleCosetCell:
     """One double coset W_I w W_J, recorded through its W^J orbit."""
 

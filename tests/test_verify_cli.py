@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import magicsq
 from magicsq.cli import main
 from magicsq.polyring import from_json_dict, parse_poly
 from magicsq.verify import CheckResult, VerifyReport, fixture_names, run_fixture, run_verify
@@ -226,6 +228,29 @@ def test_cli_json_is_deterministic():
     assert a.stdout == b.stdout
 
 
+def test_cli_import_loads_every_layer_and_no_heavy_stdlib():
+    # Every command is a new process: importing the CLI must not pull in
+    # dataclasses/inspect (code generation) or fractions/decimal (only the
+    # inexact-division error path needs them), and must still load every
+    # layer module, since the benchmark tracer wraps them after import.
+    code = (
+        "import json, sys, magicsq.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('magicsq', 'dataclasses', 'inspect', 'fractions', 'decimal'))))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(magicsq.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+    layers = ("rootsys", "weyl", "poincare", "polyring", "cgmb", "jinv", "qform",
+              "magictables", "verify", "_data")
+    assert {f"magicsq.{m}" for m in layers} <= loaded
+
+
 def test_cli_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "magicsq", "weyl", "order"],
@@ -235,20 +260,33 @@ def test_cli_usage_error_exit_code():
 
 
 def test_cli_validation_errors_map_to_exit_2(capsys):
-    for argv in (
-        ["weyl", "order", "--type", "E9"],
+    for argv, message in (
+        (["weyl", "order", "--type", "E9"], None),
         # 348364800 cosets: over the permutation enumeration cap
-        ["weyl", "double-cosets", "--type", "E8", "--left", "1", "--right", "1"],
-        ["jinv", "poly", "--group", "2E6", "--j", "0,1,0"],
-        ["jinv", "poly", "--group", "F4", "--j", "0,0,0,0"],
-        ["qform", "af-e7", "--q", "definite", "--o", "definite", "--gamma", "+,0,+"],
-        ["qform", "af-e7", "--q", "round", "--o", "definite", "--gamma", "+,+,+"],
-        ["tables", "magic", "--row", "octonion"],  # --col missing
-        ["poly", "divides", "--p", "1+t", "--q", "t-1", "--semiring"],
+        (["weyl", "double-cosets", "--type", "E8", "--left", "1", "--right", "1"], None),
+        (["jinv", "poly", "--group", "2E6", "--j", "0,1,0"], None),
+        (["jinv", "poly", "--group", "F4", "--j", "0,0,0,0"], None),
+        (
+            ["jinv", "poly", "--group", "2E6", "--j", "a,b"],
+            "value vector must be comma-separated integers, got 'a,b'",
+        ),
+        (["qform", "af-e7", "--q", "definite", "--o", "definite", "--gamma", "+,0,+"], None),
+        (["qform", "af-e7", "--q", "round", "--o", "definite", "--gamma", "+,+,+"], None),
+        (["tables", "magic", "--row", "octonion"], None),  # --col missing
+        (
+            ["tables", "tits-index", "--rost", "nope"],
+            "unknown Rost condition 'nope'; known conditions: zero, "
+            "pure-symbol-divisible-by-k, symbol-not-divisible-by-k, not-pure-symbol, "
+            "impossible-with-split-tits",
+        ),
+        (["poly", "divides", "--p", "1+t", "--q", "t-1", "--semiring"], None),
     ):
         code = main(argv)
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        if message is not None:
+            assert err == f"error: {message}\n"
 
 
 def test_cli_weyl_cosets_large_e8_quotient(capsys):
