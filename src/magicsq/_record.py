@@ -16,14 +16,13 @@ from __future__ import annotations
 from operator import attrgetter
 
 
-class _Field:
-    def __init__(self, init: bool, compare: bool):
-        self.init, self.compare = init, compare
+class _Derived:
+    pass
 
 
-def field(*, init: bool, compare: bool) -> _Field:
-    """A field without a default: ``init=False`` leaves it to ``__post_init__``."""
-    return _Field(init, compare)
+def derived() -> _Derived:
+    """A field that ``__post_init__`` sets: no ``__init__`` argument, not compared."""
+    return _Derived()
 
 
 def record(cls: type) -> type:
@@ -37,20 +36,22 @@ def record(cls: type) -> type:
     """
     body = dict(cls.__dict__)
     names = tuple(cls.__annotations__)
-    specs = {
-        n: body.pop(n) if isinstance(body.get(n), _Field) else _Field(True, True)
-        for n in names
-    }
-    defaults = {n: body.pop(n) for n in names if n in body}
-    params = tuple(n for n in names if specs[n].init)
-    compared = tuple(n for n in names if specs[n].compare)
+    derived_names = [n for n in names if isinstance(body.get(n), _Derived)]
+    for n in derived_names:
+        del body[n]
+    params = tuple(n for n in names if n not in derived_names)
+    defaults = {n: body.pop(n) for n in params if n in body}
+    required = len(params) - len(defaults)
+    if tuple(defaults) != params[required:]:
+        raise TypeError(f"{cls.__name__}: a field without a default follows a default")
+    tail = tuple(defaults.values())
     for n in ("__dict__", "__weakref__"):
         body.pop(n, None)
     new = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": names})
 
     setters = tuple(getattr(new, n).__set__ for n in params)
     post_init = body.get("__post_init__")
-    key = attrgetter(*compared)
+    key = attrgetter(*params)
 
     usage = f"{cls.__name__}() takes ({', '.join(params)})"
 
@@ -68,8 +69,12 @@ def record(cls: type) -> type:
         return args
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(params):
+        if kwargs:
             args = bind(args, kwargs)
+        elif len(args) != len(params):
+            if not required <= len(args) < len(params):
+                raise TypeError(usage)
+            args += tail[len(args) - required:]
         for set_field, value in zip(setters, args):
             set_field(self, value)
         if post_init is not None:
@@ -80,9 +85,13 @@ def record(cls: type) -> type:
             return key(self) == key(other)
         return NotImplemented
 
-    def __hash__(self):
+    if len(params) == 1:
         # attrgetter of one name returns the bare value, not a 1-tuple
-        return hash((key(self),) if len(compared) == 1 else key(self))
+        def __hash__(self):
+            return hash((key(self),))
+    else:
+        def __hash__(self):
+            return hash(key(self))
 
     def __repr__(self):
         parts = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)

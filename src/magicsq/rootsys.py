@@ -61,14 +61,6 @@ class CartanType:
     rank: int
     outer_twist: int = 1
 
-    # Spelled out because the generic record __init__ is about 2x slower
-    # with a defaulted argument; every Levi component builds one.
-    def __init__(self, series: str, rank: int, outer_twist: int = 1):
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "outer_twist", outer_twist)
-        self.__post_init__()
-
     def __post_init__(self):
         ok = _SERIES_RANKS.get(self.series)
         if ok is None or not ok(self.rank):

@@ -35,7 +35,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
-from ._record import field, record
+from ._record import derived, record
 from .polyring import IntPoly, eval_rational
 from .rootsys import (
     DiagramAut,
@@ -55,16 +55,7 @@ class WeylElement:
     """Group element as its action on positive-root indices (signed)."""
 
     action: tuple[int, ...]
-    length: int = field(init=False, compare=False)
-
-    # __init__ and __hash__ are spelled out because the generic record
-    # methods are slower and the coset walks build one element per rep.
-    def __init__(self, action: tuple[int, ...]):
-        object.__setattr__(self, "action", action)
-        self.__post_init__()
-
-    def __hash__(self) -> int:
-        return hash((self.action,))
+    length: int = derived()
 
     def __post_init__(self):
         object.__setattr__(
@@ -428,13 +419,14 @@ def double_cosets(
     left_order = parabolic_order(rs, I)
     stabilizer_order = functools.cache(lambda K: parabolic_order(rs, K))
     out = [
+        # positional: keyword arguments take record's slower binding path
         DoubleCosetCell(
-            min_rep=WeylElement(action_of(mu)),
-            left_nodes=I,
-            right_nodes=J,
-            orbit_size=left_order
+            WeylElement(action_of(mu)),
+            I,
+            J,
+            left_order
             // stabilizer_order(frozenset(i + 1 for i in left_pos if mu[i] == 0)),
-            star_invariant=perm is None or all(mu[p] == c for p, c in zip(perm, mu)),
+            perm is None or all(mu[p] == c for p, c in zip(perm, mu)),
         )
         for mu in dominant
     ]

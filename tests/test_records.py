@@ -6,6 +6,7 @@ import types
 
 import pytest
 
+from magicsq._record import record
 from magicsq.cgmb import BlockDescriptor, Decomposition, MotiveTerm
 from magicsq.jinv import JProfile
 from magicsq.magictables import (
@@ -191,6 +192,7 @@ def test_record_keyword_construction_and_defaults():
         col_label="b", row_label="a", group_type="G2", invariant_degree=2
     ) == MagicCell("a", "b", "G2", 2)
     for bad in (
+        lambda: CartanType(),
         lambda: CartanType("E"),
         lambda: CartanType("E", 6, 1, 1),
         lambda: CartanType("E", 6, rank=6),
@@ -198,6 +200,15 @@ def test_record_keyword_construction_and_defaults():
     ):
         with pytest.raises(TypeError):
             bad()
+
+
+def test_record_refuses_a_required_field_after_a_default():
+    class Bad:
+        a: int = 0
+        b: int
+
+    with pytest.raises(TypeError, match="without a default follows a default"):
+        record(Bad)
 
 
 def test_weyl_element_length_is_derived():
