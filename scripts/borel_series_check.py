@@ -16,8 +16,13 @@ every sigma-stable variety of index <= 2e4 over TWISTED_TYPES, the
 conormed polynomial (the sigma-fixed orbit vectors of the walk) against
 the permutation-side reference of ``tests/test_poincare.py`` (the
 minimal coset reps whose sigma-mapped reduced word multiplies back to
-them).  The sweeps take minutes, which is why this is a script and not a
-test.
+them).  Fifth, for every pair (I, J) with |W/W_I| <= 2e4 < |W/W_J| over
+TRANSPOSED_TYPES, with the opposition involution as star wherever it
+fixes I and J, the double cosets, which walk the left orbit W.lambda_I,
+against the transposed Kilmoyer reference of ``tests/test_weyl.py``: the
+cells of W_J\\W/W_I with inverted representatives and sizes rescaled by
+|W_I| / |W_J|.  The sweeps take minutes, which is why this is a script
+and not a test.
 
     PYTHONPATH=src python3 scripts/borel_series_check.py
 """
@@ -60,10 +65,14 @@ DOUBLE_COSET_TYPES = [
 DOUBLE_COSET_MAX_INDEX = 20_000
 TWISTED_TYPES = ["2A2", "2A3", "2A4", "2A5", "2D4", "2D5", "2E6"]
 TWISTED_MAX_INDEX = 20_000
+# the types of TYPES with quotients on both sides of the bound, but E8,
+# whose 1,500 pairs would walk 10^7 orbit vectors
+TRANSPOSED_TYPES = ["D6", "E6", "E7"]
+TRANSPOSED_MAX_LEFT_INDEX = 20_000
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 from test_poincare import sigma_fixed_reference, sigma_stable_varieties  # noqa: E402
-from test_weyl import _kilmoyer_cells, _kilmoyer_table  # noqa: E402
+from test_weyl import _kilmoyer_cells, _kilmoyer_table, _transposed_cells  # noqa: E402
 
 
 def check_groups():
@@ -179,11 +188,63 @@ def check_conormed():
           f"route {orbit_s:.2f}s, permutation reference {reference_s:.2f}s")
 
 
+def check_transposed():
+    cases = 0
+    orbit_s = reference_s = 0.0
+    for label in TRANSPOSED_TYPES:
+        rs = build_root_system(CartanType.from_string(label))
+        opp = opposition_involution(rs)
+        subsets = [
+            frozenset(s)
+            for k in range(rs.rank + 1)
+            for s in itertools.combinations(range(1, rs.rank + 1), k)
+        ]
+        index = {s: weyl_order(rs) // parabolic_order(rs, s) for s in subsets}
+        checked = 0
+        for left in subsets:
+            if index[left] > TRANSPOSED_MAX_LEFT_INDEX:
+                continue
+            stars = [None]
+            if not opp.is_identity and opp.stabilizes(left):
+                stars.append(opp)
+            for star in stars:
+                t0 = time.perf_counter()
+                table = _kilmoyer_table(rs, left, star)
+                reference_s += time.perf_counter() - t0
+                for right in subsets:
+                    if index[right] <= TRANSPOSED_MAX_LEFT_INDEX:
+                        continue
+                    if star is not None and not star.stabilizes(right):
+                        continue
+                    t0 = time.perf_counter()
+                    cells = double_cosets(rs, left, right, star)
+                    t1 = time.perf_counter()
+                    expected = _transposed_cells(rs, table, left, right)
+                    t2 = time.perf_counter()
+                    orbit_s += t1 - t0
+                    reference_s += t2 - t1
+                    got = [
+                        (c.min_rep.length, c.min_rep.action, c.orbit_size, c.star_invariant)
+                        for c in cells
+                    ]
+                    if got != expected:
+                        raise AssertionError(
+                            f"{label} I={sorted(left)} J={sorted(right)} "
+                            f"star={star is not None}: orbit route != transposed reference"
+                        )
+                    checked += 1
+        print(f"{label:3}  {checked:4} transposed cases ok")
+        cases += checked
+    print(f"{cases} double-coset cases of left index <= {TRANSPOSED_MAX_LEFT_INDEX:,} < "
+          f"right index: orbit route {orbit_s:.2f}s, transposed reference {reference_s:.2f}s")
+
+
 def main():
     check_groups()
     check_quotients()
     check_double_cosets()
     check_conormed()
+    check_transposed()
 
 
 if __name__ == "__main__":

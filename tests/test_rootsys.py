@@ -1,5 +1,6 @@
 import pytest
 
+from magicsq import rootsys
 from magicsq.rootsys import (
     CartanType,
     build_root_system,
@@ -26,6 +27,29 @@ COUNTS = {
 def test_positive_root_counts(label, count):
     rs = build_root_system(CartanType.from_string(label))
     assert rs.num_positive == count
+
+
+def test_closed_form_root_counts_match_construction():
+    labels = [
+        f"{s}{n}" for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 10)
+    ]
+    for label in labels + ["E6", "E7", "E8", "F4", "G2"]:
+        ct = CartanType.from_string(label)
+        expected = rootsys._POSITIVE_ROOTS[ct.series](ct.rank)
+        assert build_root_system(ct).num_positive == expected, label
+
+
+def test_oversized_root_system_refused_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("root closure started before the size guard")
+
+    monkeypatch.setattr(rootsys, "_close_positive_roots", no_build)
+    for label, count in (("A200", 20100), ("B142", 20164), ("C142", 20164), ("D142", 20022)):
+        with pytest.raises(ValueError, match=f"root system {label} has {count} positive roots"):
+            rootsys.RootSystem(CartanType.from_string(label))
+    # A199, B141 and D141 stay buildable
+    counts = rootsys._POSITIVE_ROOTS
+    assert max(counts["A"](199), counts["B"](141), counts["D"](141)) <= 20000
 
 
 @pytest.mark.parametrize("label", sorted(COUNTS))

@@ -153,6 +153,19 @@ def test_cli_weyl_verbs(capsys):
     assert sorted(tate) == [0, 6, 15, 21]
 
 
+def test_cli_weyl_double_cosets_isotropic_e8(capsys):
+    # |W/W_J| = 348364800 is above the enumeration limit; the kernel side,
+    # 2160 cosets of W(D7), is walked instead
+    code, out = run_cli(
+        capsys, "weyl", "double-cosets", "--type", "E8",
+        "--left", "2,3,4,5,6,7,8", "--right", "1",
+    )
+    assert code == 0
+    cells = json.loads(out)["cells"]
+    assert len(cells) == 1458
+    assert sum(c["orbit_size"] for c in cells) == 348_364_800
+
+
 def test_cli_cgmb_skeleton(capsys):
     code, out = run_cli(
         capsys, "cgmb", "skeleton", "--ambient", "E6", "--kernel", "3,4,5", "--variety", "2",
@@ -259,6 +272,18 @@ def test_cli_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def test_cli_refuses_oversized_root_system_at_once():
+    # building A3000 would take hours; the size guard answers before it starts
+    proc = subprocess.run(
+        [sys.executable, "-m", "magicsq", "weyl", "order", "--type", "A3000"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: root system A3000 has 4501500 positive roots, above the limit of 20000\n"
+    )
+
+
 def test_cli_validation_errors_map_to_exit_2(capsys):
     for argv, message in (
         (["weyl", "order", "--type", "E9"], None),
@@ -280,6 +305,14 @@ def test_cli_validation_errors_map_to_exit_2(capsys):
             "impossible-with-split-tits",
         ),
         (["poly", "divides", "--p", "1+t", "--q", "t-1", "--semiring"], None),
+        (
+            ["cgmb", "skeleton", "--ambient", "E6", "--kernel", "3,4,5", "--variety", "2,9"],
+            "nodes [2, 9] not within 1..6",
+        ),
+        (
+            ["cgmb", "skeleton", "--ambient", "E6", "--kernel", "3,4,5", "--variety", "2,-4"],
+            "nodes [-4, 2] not within 1..6",
+        ),
     ):
         code = main(argv)
         err = capsys.readouterr().err

@@ -8,6 +8,7 @@ from magicsq.cli import main
 from magicsq.polyring import IntPoly
 from magicsq.rootsys import CartanType, build_root_system, opposition_involution
 from magicsq.weyl import (
+    WeylElement,
     chain_length_polynomial,
     coset_length_counts,
     double_cosets,
@@ -357,12 +358,32 @@ def _kilmoyer_catalog(max_index=200):
                     cases.append((label, left, right, "opposition"))
     for right in ({1, 3, 4, 5, 6}, {2, 3, 4, 5}):
         cases.append(("E6", frozenset({3, 4, 5}), frozenset(right), "opposition"))
+    # E6 pairs that walk the left orbit: |W/W_I| < |W/W_J| <= 720
+    rs = _rs("E6")
+    opp = opposition_involution(rs)
+    subsets = [
+        frozenset(s) for k in range(7) for s in itertools.combinations(range(1, 7), k)
+    ]
+    for right in subsets:
+        if weyl._index(rs, right) > 720:
+            continue
+        for left in subsets:
+            if weyl._index(rs, left) < weyl._index(rs, right):
+                cases.append(("E6", left, right, None))
+                if opp.stabilizes(left) and opp.stabilizes(right):
+                    cases.append(("E6", left, right, "opposition"))
     return cases
 
 
 def test_double_cosets_match_kilmoyer_reference():
     cases = _kilmoyer_catalog()
-    assert len(cases) == 610
+    assert len(cases) == 674
+    # both routes run: these walk W.lambda_I, the rest W.lambda_J
+    swapped = [
+        case for case in cases
+        if weyl._index(_rs(case[0]), case[1]) < weyl._index(_rs(case[0]), case[2])
+    ]
+    assert len(swapped) == 279
     tables = {}
     for label, left, right, star_name in cases:
         rs = _rs(label)
@@ -376,6 +397,83 @@ def test_double_cosets_match_kilmoyer_reference():
         ]
         expected = _kilmoyer_cells(rs, tables[label, right, star_name], left)
         assert got == expected, (label, sorted(left), sorted(right), star_name)
+
+
+def _transposed_cells(rs, table, left, right):
+    """W_I\\W/W_J from the Kilmoyer cells of W_J\\W/W_I (table over W/W_I).
+
+    Inversion maps the cells of W_J\\W/W_I onto those of W_I\\W/W_J and
+    keeps minimal representatives, lengths and star invariance; a cell of
+    |W_J| / |W_K| cosets of W_I there holds |W_I| / |W_K| cosets of W_J.
+    """
+    left_order, right_order = parabolic_order(rs, left), parabolic_order(rs, right)
+    return sorted(
+        (length, WeylElement(action).inverse().action, size * left_order // right_order, fixed)
+        for length, action, size, fixed in _kilmoyer_cells(rs, table, right)
+    )
+
+
+# left kernels of small index against right sets whose quotient is above
+# the enumeration limit, so only the left orbit can be walked
+TRANSPOSED_CASES = [
+    ("E7", range(2, 8), (), None),
+    ("E7", range(2, 8), (7,), None),
+    ("E7", range(1, 7), (), None),
+    ("E8", range(1, 8), (), None),
+    ("E8", range(1, 8), (8,), None),
+    ("D7", range(2, 8), (), "opposition"),
+    ("D7", range(2, 8), (1,), "opposition"),
+    ("A8", range(2, 8), (), "opposition"),
+    ("A8", range(2, 8), (1,), None),
+]
+
+
+@pytest.mark.parametrize("label,left,right,star_name", TRANSPOSED_CASES)
+def test_double_cosets_match_transposed_reference(label, left, right, star_name):
+    rs = _rs(label)
+    left, right = frozenset(left), frozenset(right)
+    star = opposition_involution(rs) if star_name else None
+    assert weyl._index(rs, left) <= 240 and weyl._index(rs, right) > 100_000
+    got = [
+        (c.min_rep.length, c.min_rep.action, c.orbit_size, c.star_invariant)
+        for c in double_cosets(rs, left, right, star)
+    ]
+    table = _kilmoyer_table(rs, left, star)
+    assert got == _transposed_cells(rs, table, left, right)
+
+
+def test_transposed_reference_matches_direct_reference():
+    for label in ("A4", "B3"):
+        rs = _rs(label)
+        opp = opposition_involution(rs)
+        star = None if opp.is_identity else opp
+        subsets = [
+            frozenset(s)
+            for k in range(rs.rank + 1)
+            for s in itertools.combinations(range(1, rs.rank + 1), k)
+            if star is None or star.stabilizes(s)
+        ]
+        tables = {J: _kilmoyer_table(rs, J, star) for J in subsets}
+        for left in subsets:
+            for right in subsets:
+                direct = _kilmoyer_cells(rs, tables[right], left)
+                assert direct == _transposed_cells(rs, tables[left], left, right)
+
+
+def test_double_cosets_answer_isotropic_kernels():
+    # W/W_J is above the enumeration limit; the left orbit is small
+    for label, left, right, count in (
+        ("E7", range(2, 8), (), 126),  # kernel D6 against the Borel variety
+        ("E8", range(1, 8), (), 240),  # kernel E7
+        ("E8", range(2, 9), (1,), 1458),  # kernel D7
+        ("E8", range(1, 7), (), 13440),  # kernel E6
+    ):
+        rs = _rs(label)
+        cells = double_cosets(rs, left, right)
+        assert len(cells) == count
+        assert sum(c.orbit_size for c in cells) == weyl_order(rs) // parabolic_order(rs, right)
+        if label == "E7":
+            assert {c.orbit_size for c in cells} == {23040}
 
 
 def test_f4_quotients_match_classical_counts():
