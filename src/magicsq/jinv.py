@@ -98,7 +98,13 @@ class JProfile:
 def profile(label: str, values: Iterable[int]) -> JProfile:
     """Validated profile for a supported label and value vector."""
     key, degrees, caps = _lookup(label)
-    return JProfile(key, degrees, caps, tuple(values))
+    values = tuple(values)
+    if len(values) != len(degrees):
+        raise ValueError(
+            f"{key} takes {len(degrees)} values (degrees "
+            f"{','.join(map(str, degrees))}), got {len(values)}"
+        )
+    return JProfile(key, degrees, caps, values)
 
 
 def max_profile(label: str) -> JProfile:

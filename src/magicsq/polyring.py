@@ -364,9 +364,11 @@ def eval_rational(
     qfrac, rem = _rational_divmod(num, den)
     if any(rem):
         raise InexactDivision(
-            f"denominator does not divide numerator; remainder has coefficients {rem}",
+            "denominator does not divide numerator; remainder has coefficients "
+            + ", ".join(map(str, rem)),
             remainder=rem,
         )
     raise InexactDivision(
-        f"quotient is not in Z[t]; rational coefficients {qfrac}", remainder=rem
+        "quotient is not in Z[t]; rational coefficients " + ", ".join(map(str, qfrac)),
+        remainder=rem,
     )

@@ -9,8 +9,9 @@ signed table, which Python's negative indexing reads at ~r.
 
 The length generating function of a quotient W/W_J is computed in closed
 form by ``quotient_poly``: Solomon's product of [d]_t over the degrees of
-W divided by the same product over the degrees of the components of
-W_J.  It enumerates nothing, so it answers every quotient, E8 included.
+W divided by the same product over the degrees of W_J, read off the
+heights of the roots supported on J.  It enumerates nothing, so it
+answers every quotient, E8 included.
 
 ``coset_length_counts`` and ``double_cosets`` walk the W-orbit of the
 weight lambda_J with stabilizer W_J on weight coordinates, breadth-first,
@@ -28,11 +29,13 @@ the orbit vectors whose coordinates sigma maps back to themselves: the
 sigma-fixed minimal coset reps, whose lengths count the cells of the
 quasi-split flag variety.
 
-Permutations are enumerated only by ``minimal_coset_reps`` (breadth-first
-from the identity, keeping J-reduced elements), ``chain_length_polynomial``
-and the reference implementations in the tests.  Every enumeration of a
-quotient, the full group included, checks the index |W|/|W_J| at call
-time (``_check_index``) and refuses one beyond its limit; ``double_cosets``
+Group elements are built as permutations only by ``minimal_coset_reps``
+(breadth-first from the identity, keeping J-reduced elements),
+``chain_length_polynomial``, ``double_cosets`` (one minimal representative
+per cell) and the reference implementations in the tests;
+``opposition_involution`` builds none.  Every enumeration of a quotient,
+the full group included, checks the index |W|/|W_J| at call time
+(``_check_index``) and refuses one beyond its limit; ``double_cosets``
 refuses only when both |W/W_I| and |W/W_J| are beyond it.
 """
 
@@ -46,13 +49,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from ._record import derived, record
 from .polyring import IntPoly, eval_rational
-from .rootsys import (
-    DiagramAut,
-    RootSystem,
-    build_root_system,
-    signed_table,
-    sub_diagram_type,
-)
+from .rootsys import DiagramAut, RootSystem, signed_table
 
 # Index limits of _check_index: the permutation-building enumerations
 # (minimal_coset_reps, double_cosets) and the bare orbit count.
@@ -173,17 +170,22 @@ def reduced_word(rs: RootSystem, w: WeylElement) -> list[int]:
     return word
 
 
-def fundamental_degrees(rs: RootSystem) -> list[int]:
-    """Degrees d_1 <= ... <= d_rank, from the root-height partition.
+def _degrees(rs: RootSystem, nodes: Iterable[int]) -> list[int]:
+    """Degrees of W_J, sorted, from the heights of the roots supported on J.
 
     The partition counting positive roots by height is conjugate to the
-    partition of the exponents; degrees are exponents plus one.
+    partition of the exponents (Kostant); this holds on each component of
+    J, so on W_J.  Degrees are exponents plus one.
     """
-    heights = Counter(sum(v) for v in rs.positive_roots)
-    top = max(heights)
-    m = [heights.get(h, 0) for h in range(1, top + 1)]
-    exponents = [sum(1 for mh in m if mh >= k) for k in range(1, rs.rank + 1)]
-    return sorted(e + 1 for e in exponents)
+    J = rs.check_nodes(nodes)
+    off = _picker([i for i in range(rs.rank) if i + 1 not in J])
+    m = Counter(sum(v) for v in rs.positive_roots if not any(off(v))).values()
+    return sorted(1 + sum(h >= k for h in m) for k in range(1, len(J) + 1))
+
+
+def fundamental_degrees(rs: RootSystem) -> list[int]:
+    """Degrees d_1 <= ... <= d_rank, from the root-height partition."""
+    return _degrees(rs, rs.node_set())
 
 
 def weyl_order(rs: RootSystem) -> int:
@@ -192,30 +194,21 @@ def weyl_order(rs: RootSystem) -> int:
 
 
 def parabolic_order(rs: RootSystem, nodes: Iterable[int]) -> int:
-    """Order of the parabolic subgroup W_J, via its component types."""
-    total = 1
-    for ct in sub_diagram_type(rs, nodes):
-        total *= weyl_order(build_root_system(ct))
-    return total
+    """Order of the parabolic subgroup W_J, the product of its degrees."""
+    return math.prod(_degrees(rs, nodes))
 
 
 def quotient_poly(rs: RootSystem, parabolic: Iterable[int]) -> IntPoly:
     """Length generating function of the minimal coset reps of W/W_J.
 
     Solomon's formula: prod [d]_t over the degrees d of W divided by the
-    same product over the degrees of every component of W_J, where
-    [d]_t = 1 + t + ... + t^(d-1).  The division is exact; a remainder
-    would mean corrupt root data and raises InexactDivision.
+    same product over the degrees of W_J, read off the root heights on J,
+    where [d]_t = 1 + t + ... + t^(d-1).  The division is exact; a
+    remainder would mean corrupt root data and raises InexactDivision.
     """
-    J = rs.check_nodes(parabolic)
-    levi_degrees = [
-        d
-        for ct in sub_diagram_type(rs, J)
-        for d in fundamental_degrees(build_root_system(ct))
-    ]
     return eval_rational(
         [IntPoly((1,) * d) for d in fundamental_degrees(rs)],
-        [IntPoly((1,) * d) for d in levi_degrees],
+        [IntPoly((1,) * d) for d in _degrees(rs, parabolic)],
     )
 
 
@@ -414,11 +407,11 @@ def longest_element_length(rs: RootSystem, parabolic: Iterable[int]) -> int:
     """Length of the longest minimal representative of W/W_parabolic.
 
     Equals the number of positive roots not supported on the parabolic
-    node set; with the circled-node convention this is the dimension of
-    the flag variety whose Levi sits on ``parabolic``.
+    node set, N minus the sum of the exponents d - 1 of W_J; with the
+    circled-node convention this is the dimension of the flag variety
+    whose Levi sits on ``parabolic``.
     """
-    J = rs.check_nodes(parabolic)
-    return rs.num_positive - rs.positive_count_in(J)
+    return rs.num_positive - sum(d - 1 for d in _degrees(rs, parabolic))
 
 
 def double_cosets(

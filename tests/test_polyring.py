@@ -81,6 +81,9 @@ def test_eval_rational_trivial_and_errors():
     with pytest.raises(InexactDivision) as exc:
         eval_rational([parse_poly("t^2+1")], [parse_poly("t-1")])
     assert exc.value.remainder is not None
+    # the message prints plain numbers; the remainder keeps its Fractions
+    assert str(exc.value).endswith("remainder has coefficients 2")
+    assert repr(exc.value.remainder) == "(Fraction(2, 1),)"
     # remainder zero but the quotient leaves Z[t]
     with pytest.raises(InexactDivision):
         eval_rational([parse_poly("t+1")], [IntPoly([2])])

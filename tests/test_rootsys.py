@@ -176,6 +176,41 @@ def test_opposition_involution(label, perm):
     assert all(aut(aut(i)) == i for i in range(1, rs.rank + 1))
 
 
+def _minus_w0_from_longest_element(rs):
+    """-w0 as a node permutation, read off w0 built as a root permutation.
+
+    w0 is built greedily: keep multiplying on the right by any s_i that
+    does not yet negate its simple root, until every simple root is
+    negated.
+    """
+    simple = [rs.simple_root_index(i) for i in range(1, rs.rank + 1)]
+    act = list(range(rs.num_positive))
+    while True:
+        for r, table in zip(simple, rs.simple_reflection_tables):
+            if act[r] >= 0:
+                act = [act[x] if x >= 0 else ~act[~x] for x in table]
+                break
+        else:
+            break
+    perm = []
+    for r in simple:
+        assert act[r] < 0, "w0 must negate every simple root"
+        target = rs.positive_roots[~act[r]]
+        assert sum(target) == 1, "w0 must map a simple root to a negative simple root"
+        perm.append(target.index(1) + 1)
+    return tuple(perm)
+
+
+@pytest.mark.parametrize(
+    "label",
+    [f"{s}{n}" for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 10)]
+    + ["E6", "E7", "E8", "F4", "G2"],
+)
+def test_opposition_involution_matches_longest_element(label):
+    rs = build_root_system(CartanType.from_string(label))
+    assert opposition_involution(rs).node_permutation == _minus_w0_from_longest_element(rs)
+
+
 @pytest.mark.parametrize(
     "label,perm",
     [

@@ -287,6 +287,7 @@ def test_cli_refuses_oversized_root_system_at_once():
 def test_cli_validation_errors_map_to_exit_2(capsys):
     for argv, message in (
         (["weyl", "order", "--type", "E9"], None),
+        (["weyl", "order", "--type", "E6x"], "cannot parse Dynkin type 'E6x'"),
         # 348364800 cosets: over the permutation enumeration cap
         (["weyl", "double-cosets", "--type", "E8", "--left", "1", "--right", "1"], None),
         (["jinv", "poly", "--group", "2E6", "--j", "0,1,0"], None),
@@ -305,6 +306,18 @@ def test_cli_validation_errors_map_to_exit_2(capsys):
             "impossible-with-split-tits",
         ),
         (["poly", "divides", "--p", "1+t", "--q", "t-1", "--semiring"], None),
+        (
+            ["poly", "eval-rational", "--num", "t+1", "--den", "2"],
+            "quotient is not in Z[t]; rational coefficients 1/2, 1/2",
+        ),
+        (
+            ["poly", "eval-rational", "--num", "t^2+1", "--den", "t-1"],
+            "denominator does not divide numerator; remainder has coefficients 2",
+        ),
+        (
+            ["jinv", "poly", "--group", "E7", "--j", "1,1"],
+            "E7 takes 4 values (degrees 1,3,5,9), got 2",
+        ),
         (
             ["cgmb", "skeleton", "--ambient", "E6", "--kernel", "3,4,5", "--variety", "2,9"],
             "nodes [2, 9] not within 1..6",

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,12 @@ from hypothesis import given, strategies as st
 from magicsq import weyl
 from magicsq.cli import main
 from magicsq.polyring import IntPoly
-from magicsq.rootsys import CartanType, build_root_system, opposition_involution
+from magicsq.rootsys import (
+    CartanType,
+    build_root_system,
+    opposition_involution,
+    sub_diagram_type,
+)
 from magicsq.weyl import (
     WeylElement,
     chain_length_polynomial,
@@ -499,6 +505,36 @@ def test_parabolic_order():
     assert parabolic_order(rs, {2, 3, 4, 5}) == 192
     assert parabolic_order(rs, ()) == 1
     assert parabolic_order(_rs("E7"), {2, 3, 4, 5, 6, 7}) == 23040
+
+
+SUBSET_CATALOG = [
+    f"{s}{n}" for s, lo, hi in (("A", 1, 6), ("B", 2, 5), ("C", 2, 5), ("D", 3, 6))
+    for n in range(lo, hi + 1)
+] + ["E6", "E7", "E8", "F4", "G2"]
+
+
+@pytest.mark.parametrize("label", SUBSET_CATALOG)
+def test_parabolic_degrees_match_component_route(label):
+    # the degrees of W_J come from the root heights on J; the independent
+    # route classifies J's components and builds each one's root system
+    rs = _rs(label)
+    top = math.prod(IntPoly((1,) * d) for d in fundamental_degrees(rs))
+    for k in range(rs.rank + 1):
+        for J in itertools.combinations(range(1, rs.rank + 1), k):
+            degrees = sorted(
+                d
+                for ct in sub_diagram_type(rs, J)
+                for d in fundamental_degrees(build_root_system(ct))
+            )
+            assert weyl._degrees(rs, J) == degrees, (label, J)
+            assert parabolic_order(rs, J) == math.prod(degrees), (label, J)
+            levi = math.prod(IntPoly((1,) * d) for d in degrees)
+            assert weyl.quotient_poly(rs, J) * levi == top, (label, J)
+            supported = sum(
+                all(v[i - 1] == 0 for i in rs.node_set() - set(J))
+                for v in rs.positive_roots
+            )
+            assert longest_element_length(rs, J) == rs.num_positive - supported
 
 
 def test_weyl_element_inverse_and_product():
