@@ -17,6 +17,10 @@ Verb-noun grammar, node sets as comma lists in Bourbaki numbering:
     magicsq tables magic | conditions --group 2E6 | tits-index --rost not-pure-symbol
     magicsq verify [--filter 'dims-*']
 
+Every command is a new process, so the parser is built only for the
+command it was invoked with (``_build_parser``); help and usage errors
+read as if every command had been built.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 JSON output is byte-deterministic for fixed arguments, except the
 ``runtime_ms`` wall-time field of each ``verify`` check.
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 
 from . import cgmb, jinv, magictables, poincare, qform, verify, weyl
 from .polyring import (
@@ -100,7 +105,112 @@ def _algebra(kind: str, word: str) -> qform.CompositionAlgebraR:
     return qform.CompositionAlgebraR(kind, word == "definite")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _weyl_args(w: argparse.ArgumentParser) -> None:
+    wsub = w.add_subparsers(dest="verb", required=True)
+    worder = wsub.add_parser("order")
+    worder.add_argument("--type", required=True)
+    wcosets = wsub.add_parser("cosets")
+    wcosets.add_argument("--type", required=True)
+    wcosets.add_argument("--parabolic", required=True)
+    wdc = wsub.add_parser("double-cosets")
+    wdc.add_argument("--type", required=True)
+    wdc.add_argument("--left", required=True)
+    wdc.add_argument("--right", required=True)
+    wdc.add_argument("--star", choices=("none", "opposition"), default="none")
+
+
+def _poly_args(p: argparse.ArgumentParser) -> None:
+    psub = p.add_subparsers(dest="verb", required=True)
+    pev = psub.add_parser("eval-rational")
+    pev.add_argument("--num", required=True, help="comma list of factors")
+    pev.add_argument("--den", required=True, help="comma list of factors")
+    pdiv = psub.add_parser("divides")
+    pdiv.add_argument("--p", required=True)
+    pdiv.add_argument("--q", required=True)
+    pdiv.add_argument("--semiring", action="store_true")
+
+
+def _poincare_args(pc: argparse.ArgumentParser) -> None:
+    pc.add_argument("--type", required=True)
+    pc.add_argument("--variety", required=True, help="circled nodes, e.g. 1,6")
+    pc.add_argument("--conormed", action="store_true")
+
+
+def _jinv_args(j: argparse.ArgumentParser) -> None:
+    jsub = j.add_subparsers(dest="verb", required=True)
+    jp = jsub.add_parser("poly")
+    jp.add_argument("--group", required=True)
+    jp.add_argument("--j", required=True, help="value vector, e.g. 1,0,0")
+    je = jsub.add_parser("enumerate")
+    je.add_argument("--group", required=True)
+    jsub.add_parser("table")
+
+
+def _cgmb_args(c: argparse.ArgumentParser) -> None:
+    csub = c.add_subparsers(dest="verb", required=True)
+    cs = csub.add_parser("skeleton")
+    cs.add_argument("--ambient", required=True)
+    cs.add_argument("--kernel", required=True)
+    cs.add_argument("--variety", required=True, help="circled nodes of the variety")
+    cs.add_argument("--star", choices=("none", "opposition"), default="opposition")
+    cc = csub.add_parser("check")
+    cc.add_argument("--fixture", required=True)
+    csub.add_parser("blocks")
+
+
+def _qform_args(q: argparse.ArgumentParser) -> None:
+    qsub = q.add_subparsers(dest="verb", required=True)
+    qa = qsub.add_parser("af-e7")
+    qa.add_argument("--q", required=True, help="definite | split")
+    qa.add_argument("--o", required=True, help="definite | split")
+    qa.add_argument("--gamma", required=True, help="three signs, e.g. +,+,-")
+
+
+def _tables_args(t: argparse.ArgumentParser) -> None:
+    tsub = t.add_subparsers(dest="verb", required=True)
+    tm = tsub.add_parser("magic")
+    tm.add_argument("--row", default=None)
+    tm.add_argument("--col", default=None)
+    tc = tsub.add_parser("conditions")
+    tc.add_argument("--group", default=None)
+    tt = tsub.add_parser("tits-index")
+    tt.add_argument("--rost", default=None)
+    tsub.add_parser("constructions")
+
+
+def _verify_args(v: argparse.ArgumentParser) -> None:
+    v.add_argument("--filter", default=None, help="glob over check names")
+
+
+# command -> (help line, function adding its verbs and arguments)
+_COMMANDS = {
+    "weyl": ("Weyl group computations", _weyl_args),
+    "poly": ("integer polynomial operations", _poly_args),
+    "poincare": ("flag variety Poincare polynomials", _poincare_args),
+    "jinv": ("J-invariant profiles", _jinv_args),
+    "cgmb": ("double-coset motive skeletons", _cgmb_args),
+    "qform": ("real diagonal quadratic forms", _qform_args),
+    "tables": ("pinned classification tables", _tables_args),
+    "verify": ("run the pinned verification suite", _verify_args),
+}
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for argv: only the commands argv names get their arguments.
+
+    argparse matches a command name exactly, so the invoked command appears
+    verbatim in argv and is populated; the others are never parsed, and
+    building them is most of a command's parser cost.  Unless argv names
+    no command or asks for help (-h, --h...), the commands it does not
+    name are not even registered: the metavar keeps them in the usage
+    line, and a usage error re-parses argv with every command, so that
+    the message (choices, argument names) reads as it always did.
+    """
+    named = [name for name in _COMMANDS if name in argv]
+    # top-level help lists every command
+    reduced = 0 < len(named) < len(_COMMANDS) and not any(
+        a.startswith(("-h", "--h")) for a in argv
+    )
     top = argparse.ArgumentParser(
         prog="magicsq",
         description="Exact Weyl, polynomial, and quadratic-form computations "
@@ -115,77 +225,22 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--fixtures", default=None, help="path to an alternative fixtures document"
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    w = sub.add_parser("weyl", help="Weyl group computations")
-    wsub = w.add_subparsers(dest="verb", required=True)
-    worder = wsub.add_parser("order")
-    worder.add_argument("--type", required=True)
-    wcosets = wsub.add_parser("cosets")
-    wcosets.add_argument("--type", required=True)
-    wcosets.add_argument("--parabolic", required=True)
-    wdc = wsub.add_parser("double-cosets")
-    wdc.add_argument("--type", required=True)
-    wdc.add_argument("--left", required=True)
-    wdc.add_argument("--right", required=True)
-    wdc.add_argument("--star", choices=("none", "opposition"), default="none")
-
-    p = sub.add_parser("poly", help="integer polynomial operations")
-    psub = p.add_subparsers(dest="verb", required=True)
-    pev = psub.add_parser("eval-rational")
-    pev.add_argument("--num", required=True, help="comma list of factors")
-    pev.add_argument("--den", required=True, help="comma list of factors")
-    pdiv = psub.add_parser("divides")
-    pdiv.add_argument("--p", required=True)
-    pdiv.add_argument("--q", required=True)
-    pdiv.add_argument("--semiring", action="store_true")
-
-    pc = sub.add_parser("poincare", help="flag variety Poincare polynomials")
-    pc.add_argument("--type", required=True)
-    pc.add_argument("--variety", required=True, help="circled nodes, e.g. 1,6")
-    pc.add_argument("--conormed", action="store_true")
-
-    j = sub.add_parser("jinv", help="J-invariant profiles")
-    jsub = j.add_subparsers(dest="verb", required=True)
-    jp = jsub.add_parser("poly")
-    jp.add_argument("--group", required=True)
-    jp.add_argument("--j", required=True, help="value vector, e.g. 1,0,0")
-    je = jsub.add_parser("enumerate")
-    je.add_argument("--group", required=True)
-    jsub.add_parser("table")
-
-    c = sub.add_parser("cgmb", help="double-coset motive skeletons")
-    csub = c.add_subparsers(dest="verb", required=True)
-    cs = csub.add_parser("skeleton")
-    cs.add_argument("--ambient", required=True)
-    cs.add_argument("--kernel", required=True)
-    cs.add_argument("--variety", required=True, help="circled nodes of the variety")
-    cs.add_argument("--star", choices=("none", "opposition"), default="opposition")
-    cc = csub.add_parser("check")
-    cc.add_argument("--fixture", required=True)
-    csub.add_parser("blocks")
-
-    q = sub.add_parser("qform", help="real diagonal quadratic forms")
-    qsub = q.add_subparsers(dest="verb", required=True)
-    qa = qsub.add_parser("af-e7")
-    qa.add_argument("--q", required=True, help="definite | split")
-    qa.add_argument("--o", required=True, help="definite | split")
-    qa.add_argument("--gamma", required=True, help="three signs, e.g. +,+,-")
-
-    t = sub.add_parser("tables", help="pinned classification tables")
-    tsub = t.add_subparsers(dest="verb", required=True)
-    tm = tsub.add_parser("magic")
-    tm.add_argument("--row", default=None)
-    tm.add_argument("--col", default=None)
-    tc = tsub.add_parser("conditions")
-    tc.add_argument("--group", default=None)
-    tt = tsub.add_parser("tits-index")
-    tt.add_argument("--rost", default=None)
-    tsub.add_parser("constructions")
-
-    v = sub.add_parser("verify", help="run the pinned verification suite")
-    v.add_argument("--filter", default=None, help="glob over check names")
-
+    # only a reduced parser names the commands by metavar: the full one's
+    # errors call the argument "command"
+    sub = top.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if reduced else None,
+    )
+    for name, (help_line, add_args) in _COMMANDS.items():
+        if name in named:
+            add_args(sub.add_parser(name, help=help_line))
+        elif not reduced:
+            sub.add_parser(name, help=help_line)
+    if reduced:
+        # an error of the top parser (subparsers report their own) recurs,
+        # and exits, in the full parser's parse of the same argv
+        top.error = lambda message: _build_parser(list(_COMMANDS)).parse_args(argv)
     return top
 
 
@@ -454,9 +509,10 @@ def _cmd_verify(args, fmt) -> int:
     return report.exit_code
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         fixtures_doc = verify.load_fixture_doc(args.fixtures) if args.fixtures else None
         if args.command == "weyl":

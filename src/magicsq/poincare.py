@@ -30,7 +30,8 @@ from .rootsys import CartanType, build_root_system, twist_aut
 
 
 class NotSpecifiedError(ValueError):
-    """Requested quantity has no pinned formula ("not specified by source")."""
+    """Requested quantity is not defined: a conormed Poincare polynomial of a
+    type that is not an outer form, or of a variety the twist moves."""
 
 
 @record
@@ -73,17 +74,18 @@ def conormed_poincare(fv: FlagVariety) -> IntPoly:
     """Sum of t^l(w) over the sigma-fixed minimal coset reps of W/W_Levi.
 
     Defined for a sigma-stable variety of an outer form (twist label 2);
-    anything else raises NotSpecifiedError.
+    anything else raises NotSpecifiedError, naming which of the two fails.
     """
-    if fv.ambient.outer_twist == 2:
-        rs = build_root_system(fv.ambient)
-        sigma = twist_aut(rs)
-        if sigma.stabilizes(fv.parabolic_type):
-            return weyl.length_counts_to_poly(
-                weyl.coset_length_counts(rs, fv.levi_nodes, sigma)
-            )
-    raise NotSpecifiedError(
-        f"conormed Poincare polynomial for ({fv.ambient}, X_"
-        f"{','.join(map(str, sorted(fv.parabolic_type)))}) "
-        "not specified by source"
-    )
+    nodes = sorted(fv.parabolic_type)
+    variety = f"X_{','.join(map(str, nodes))}"
+    what = f"conormed Poincare polynomial for ({fv.ambient}, {variety})"
+    if fv.ambient.outer_twist != 2:
+        raise NotSpecifiedError(f"{what} needs an outer form (2A_n, 2D_n, 2E6)")
+    rs = build_root_system(fv.ambient)
+    sigma = twist_aut(rs)
+    moved = [f"{i} <-> {sigma(i)}" for i in nodes if sigma(i) not in fv.parabolic_type]
+    if moved:
+        raise NotSpecifiedError(
+            f"{what}: {variety} is not stable under the diagram twist ({', '.join(moved)})"
+        )
+    return weyl.length_counts_to_poly(weyl.coset_length_counts(rs, fv.levi_nodes, sigma))

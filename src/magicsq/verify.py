@@ -8,9 +8,7 @@ Exit-code convention for the CLI: 0 when everything passes, 1 otherwise.
 
 from __future__ import annotations
 
-import fnmatch
 import json
-import random
 import time
 
 from . import cgmb, jinv, magictables, poincare, qform, weyl
@@ -327,6 +325,8 @@ _FUZZ_CASES = 10_000
 
 
 def _semiring_fuzz() -> dict:
+    import random  # only this check draws random cases
+
     rng = random.Random(20260808)
     violations = 0
     for case in range(_FUZZ_CASES):
@@ -517,6 +517,8 @@ def run_verify(pattern: str | None = None) -> VerifyReport:
     """Run all checks (or those matching a glob), sorted by name."""
     selected = sorted(_CHECKS, key=lambda c: c[0])
     if pattern is not None:
+        import fnmatch  # only a --filter needs it
+
         selected = [c for c in selected if fnmatch.fnmatch(c[0], pattern)]
         if not selected:
             raise ValueError(

@@ -249,9 +249,8 @@ def _index(rs: RootSystem, J: frozenset[int]) -> int:
     return weyl_order(rs) // parabolic_order(rs, J)
 
 
-def _check_index(rs: RootSystem, J: frozenset[int], limit: int) -> int:
-    """|W|/|W_J|, refused above limit before anything is built."""
-    index = _index(rs, J)
+def _check_index(index: int, limit: int) -> int:
+    """The index |W|/|W_J|, refused above limit before anything is built."""
     if index > limit:
         raise ValueError(
             f"W/W_J has {index} cosets, above the enumeration limit of {limit}"
@@ -267,7 +266,7 @@ def minimal_coset_reps(rs: RootSystem, parabolic: Iterable[int]) -> Iterator[Cos
     parabolic) included, at call time rather than at first consumption.
     """
     J = rs.check_nodes(parabolic)
-    _check_index(rs, J, _ENUMERATION_LIMIT)
+    _check_index(_index(rs, J), _ENUMERATION_LIMIT)
     gens = list(range(1, rs.rank + 1))
 
     def stream() -> Iterator[CosetRep]:
@@ -352,7 +351,7 @@ def coset_length_counts(
     are left out.
     """
     J = rs.check_nodes(parabolic)
-    index = _check_index(rs, J, _ORBIT_COUNT_LIMIT)
+    index = _check_index(_index(rs, J), _ORBIT_COUNT_LIMIT)
     permute = None if star is None else _picker([star(i + 1) - 1 for i in range(rs.rank)])
     fields = _Packing(rs).fields
     walked = 0
@@ -449,12 +448,14 @@ def double_cosets(
             raise ValueError(f"star action does not stabilize left nodes {sorted(I)}")
         if not star.stabilizes(J):
             raise ValueError(f"star action does not stabilize right nodes {sorted(J)}")
-    # either orbit can be walked, so only both indices above the limit refuse
-    left_index = _index(rs, I)
+    # |W| and |W_I| once for both indices and every cell size; either orbit
+    # can be walked, so only both indices above the limit refuse
+    order = weyl_order(rs)
+    left_order = parabolic_order(rs, I)
+    left_index = order // left_order
+    index = order // parabolic_order(rs, J)
     if left_index > _ENUMERATION_LIMIT:
-        index = _check_index(rs, J, _ENUMERATION_LIMIT)
-    else:
-        index = _index(rs, J)
+        _check_index(index, _ENUMERATION_LIMIT)
     # walk the smaller orbit; on W.lambda_I the walked reps are the inverses
     swap = left_index < index
     walked_nodes, kept_nodes = (I, J) if swap else (J, I)
@@ -496,7 +497,6 @@ def double_cosets(
         return act[:n]
 
     permute = None if star is None else _picker([star(i + 1) - 1 for i in range(rs.rank)])
-    left_order = parabolic_order(rs, I)
     stabilizer_order = functools.cache(lambda K: parabolic_order(rs, K))
     out = [
         # positional: keyword arguments take record's slower binding path

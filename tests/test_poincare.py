@@ -179,11 +179,11 @@ def test_conormed_pinned_instances():
 
 
 def test_conormed_unsupported_instances():
-    with pytest.raises(NotSpecifiedError, match="not specified by source"):
+    with pytest.raises(NotSpecifiedError, match=r"not stable under the diagram twist \(1 <-> 6\)"):
         conormed_poincare(_fv("2E6", {1}))
-    with pytest.raises(NotSpecifiedError):
-        conormed_poincare(_fv("E6", {2}))  # inner form: no pinned formula
-    with pytest.raises(NotSpecifiedError):
+    with pytest.raises(NotSpecifiedError, match=r"needs an outer form"):
+        conormed_poincare(_fv("E6", {2}))  # inner form: no twist to fix cells
+    with pytest.raises(NotSpecifiedError, match=r"needs an outer form"):
         conormed_poincare(_fv("E7", {1}))
 
 

@@ -243,13 +243,15 @@ def test_cli_json_is_deterministic():
 
 def test_cli_import_loads_every_layer_and_no_heavy_stdlib():
     # Every command is a new process: importing the CLI must not pull in
-    # dataclasses/inspect (code generation) or fractions/decimal (only the
-    # inexact-division error path needs them), and must still load every
+    # dataclasses/inspect (code generation), fractions/decimal (only the
+    # inexact-division error path needs them), random (only the semiring
+    # fuzz) or fnmatch (only verify --filter), and must still load every
     # layer module, since the benchmark tracer wraps them after import.
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "random", "fnmatch"}
     code = (
         "import json, sys, magicsq.cli; "
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('magicsq', 'dataclasses', 'inspect', 'fractions', 'decimal'))))"
+        f"{('magicsq', *sorted(heavy))!r})))"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(magicsq.__file__)))
     proc = subprocess.run(
@@ -258,7 +260,7 @@ def test_cli_import_loads_every_layer_and_no_heavy_stdlib():
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
-    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+    assert not loaded & heavy
     layers = ("rootsys", "weyl", "poincare", "polyring", "cgmb", "jinv", "qform",
               "magictables", "verify", "_data")
     assert {f"magicsq.{m}" for m in layers} <= loaded
@@ -325,6 +327,16 @@ def test_cli_validation_errors_map_to_exit_2(capsys):
         (
             ["cgmb", "skeleton", "--ambient", "E6", "--kernel", "3,4,5", "--variety", "2,-4"],
             "nodes [-4, 2] not within 1..6",
+        ),
+        (
+            ["poincare", "--type", "E6", "--variety", "1", "--conormed"],
+            "conormed Poincare polynomial for (E6, X_1) needs an outer form "
+            "(2A_n, 2D_n, 2E6)",
+        ),
+        (
+            ["poincare", "--type", "2E6", "--variety", "1", "--conormed"],
+            "conormed Poincare polynomial for (2E6, X_1): X_1 is not stable under "
+            "the diagram twist (1 <-> 6)",
         ),
     ):
         code = main(argv)

@@ -266,6 +266,19 @@ def test_double_cosets_deterministic_order():
     assert keys == sorted(keys)
 
 
+def test_double_cosets_compute_weyl_order_once(monkeypatch):
+    # both indices and every cell size come from one |W| and one |W_I|
+    calls = []
+    real = weyl.fundamental_degrees
+    monkeypatch.setattr(weyl, "fundamental_degrees", lambda rs: calls.append(1) or real(rs))
+    rs = _rs("E6")
+    for left, right in (({3, 4, 5}, {1, 3, 4, 5, 6}), ({1, 3, 4, 5, 6}, {3, 4, 5}), ((), ())):
+        calls.clear()
+        cells = double_cosets(rs, left, right)
+        assert sum(c.orbit_size for c in cells) == 51840 // parabolic_order(rs, right)
+        assert len(calls) <= 1, (left, right)
+
+
 def test_small_rank_double_coset_partitions():
     for label, left, right in [
         ("A3", {1}, {3}),
