@@ -198,19 +198,12 @@ _COMMANDS = {
 def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """The parser for argv: only the commands argv names get their arguments.
 
-    argparse matches a command name exactly, so the invoked command appears
-    verbatim in argv and is populated; the others are never parsed, and
-    building them is most of a command's parser cost.  Unless argv names
-    no command or asks for help (-h, --h...), the commands it does not
-    name are not even registered: the metavar keeps them in the usage
-    line, and a usage error re-parses argv with every command, so that
-    the message (choices, argument names) reads as it always did.
+    Every command is registered with its help line, so help and "invalid
+    choice" errors list all of them.  argparse matches a command name
+    exactly, so the invoked command appears verbatim in argv and is
+    populated; the others are never parsed, and building them is most of
+    a command's parser cost.
     """
-    named = [name for name in _COMMANDS if name in argv]
-    # top-level help lists every command
-    reduced = 0 < len(named) < len(_COMMANDS) and not any(
-        a.startswith(("-h", "--h")) for a in argv
-    )
     top = argparse.ArgumentParser(
         prog="magicsq",
         description="Exact Weyl, polynomial, and quadratic-form computations "
@@ -225,22 +218,11 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     top.add_argument(
         "--fixtures", default=None, help="path to an alternative fixtures document"
     )
-    # only a reduced parser names the commands by metavar: the full one's
-    # errors call the argument "command"
-    sub = top.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{" + ",".join(_COMMANDS) + "}" if reduced else None,
-    )
+    sub = top.add_subparsers(dest="command", required=True)
     for name, (help_line, add_args) in _COMMANDS.items():
-        if name in named:
-            add_args(sub.add_parser(name, help=help_line))
-        elif not reduced:
-            sub.add_parser(name, help=help_line)
-    if reduced:
-        # an error of the top parser (subparsers report their own) recurs,
-        # and exits, in the full parser's parse of the same argv
-        top.error = lambda message: _build_parser(list(_COMMANDS)).parse_args(argv)
+        parser = sub.add_parser(name, help=help_line)
+        if name in argv:
+            add_args(parser)
     return top
 
 
