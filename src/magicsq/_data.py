@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 from functools import lru_cache
 
@@ -13,6 +12,8 @@ _DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 @lru_cache(maxsize=None)
 def load(name: str) -> dict:
+    import json  # only a command that reads a data file needs it
+
     with open(os.path.join(_DATA_DIR, name), encoding="utf-8") as fh:
         return json.load(fh)
 

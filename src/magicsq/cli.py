@@ -21,6 +21,12 @@ Every command is a new process, so the parser is built only for the
 command it was invoked with (``_build_parser``); help and usage errors
 read as if every command had been built.
 
+Every command prints json; ``verify`` also prints text (its default) and
+the full ``tables magic`` listing also prints csv.  Any other ``--format``
+is a usage error.  JSON is written by ``_emit_json``, byte for byte as
+``json.dumps(obj, sort_keys=True, indent=2)`` writes it, without importing
+json: a command that reads no data file never loads it.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 JSON output is byte-deterministic for fixed arguments, except the
 ``runtime_ms`` wall-time field of each ``verify`` check.
@@ -29,9 +35,9 @@ JSON output is byte-deterministic for fixed arguments, except the
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Sequence
+from functools import lru_cache
 
 from . import cgmb, jinv, magictables, poincare, qform, verify, weyl
 from .polyring import (
@@ -54,7 +60,100 @@ _USAGE_ERROR = 2
 
 
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Write obj and a newline, as ``json.dumps(obj, sort_keys=True, indent=2)``.
+
+    Takes dicts with str keys, lists, tuples, str, int, float, bool and
+    None; anything else raises TypeError.  json writes indented output
+    with its pure-Python encoder, which is slower than this writer.
+    """
+    out: list[str] = []
+    _json_value(obj, "\n", out.append)
+    out.append("\n")
+    sys.stdout.write("".join(out))
+
+
+def _json_str(s: str) -> str:
+    # json writes printable ASCII other than '"' and '\\' as it is
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    import json
+
+    return json.dumps(s)
+
+
+@lru_cache(maxsize=256)
+def _json_key(key: str) -> str:
+    # a payload repeats a few field names, once per record
+    return _json_str(key) + ": "
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_INF = float("inf")
+# exact type -> its json text; subclasses take the isinstance path below
+_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    float: _json_float,
+}
+
+
+def _json_value(obj, nl: str, put) -> None:
+    # nl is a newline and the indent of the line obj starts on
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        put(scalar(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = sep + _json_key(key)
+            scalar = _SCALARS.get(type(value))
+            if scalar is not None:
+                put(head + scalar(value))
+            else:
+                put(head)
+                _json_value(value, inner, put)
+            sep = comma
+        put(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in obj:
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                put(sep + scalar(item))
+            else:
+                put(sep)
+                _json_value(item, inner, put)
+            sep = comma
+        put(nl + "]")
+    elif isinstance(obj, str):
+        put(_json_str(obj))
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, float):
+        put(_json_float(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _ints(text: str, what: str) -> tuple[int, ...]:
@@ -491,11 +590,27 @@ def _cmd_verify(args, fmt) -> int:
     return report.exit_code
 
 
+def _formats(args) -> tuple[str, ...]:
+    """The output formats the parsed command prints, its default first."""
+    if args.command == "verify":
+        return ("text", "json")
+    if args.command == "tables" and args.verb == "magic" and not (args.row or args.col):
+        return ("json", "csv")
+    return ("json",)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser(argv).parse_args(argv)
     try:
+        formats = _formats(args)
+        fmt = args.format or formats[0]
+        if fmt not in formats:
+            what = " ".join(filter(None, (args.command, getattr(args, "verb", None))))
+            if getattr(args, "row", None) or getattr(args, "col", None):
+                what += " with --row/--col"
+            raise ValueError(f"{what} prints {' or '.join(formats)}, not {fmt}")
         fixtures_doc = verify.load_fixture_doc(args.fixtures) if args.fixtures else None
         if args.command == "weyl":
             return _cmd_weyl(args)
@@ -510,9 +625,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "qform":
             return _cmd_qform(args)
         if args.command == "tables":
-            return _cmd_tables(args, args.format or "json")
+            return _cmd_tables(args, fmt)
         if args.command == "verify":
-            return _cmd_verify(args, args.format or "text")
+            return _cmd_verify(args, fmt)
         raise AssertionError(args.command)
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")

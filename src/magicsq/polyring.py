@@ -199,7 +199,8 @@ def format_poly(p: IntPoly) -> str:
     return " ".join(parts)
 
 
-_TERM_RE = re.compile(r"^([+-]?)(\d+)?(\*?t(\^(\d+))?)?$")
+# compiled on first use, through re's own cache, not at import
+_TERM_RE = r"^([+-]?)(\d+)?(\*?t(\^(\d+))?)?$"
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -209,7 +210,7 @@ def parse_poly(text: str) -> IntPoly:
         raise ValueError("empty polynomial string")
     coeffs: dict[int, int] = {}
     for term in re.findall(r"[+-]?[^+-]+", s):
-        m = _TERM_RE.match(term)
+        m = re.match(_TERM_RE, term)
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ValueError(f"cannot parse term {term!r} in {text!r}")
         sign = -1 if m.group(1) == "-" else 1

@@ -8,7 +8,6 @@ Exit-code convention for the CLI: 0 when everything passes, 1 otherwise.
 
 from __future__ import annotations
 
-import json
 import time
 
 from . import cgmb, jinv, magictables, poincare, qform, weyl
@@ -107,6 +106,8 @@ def load_fixture_doc(path: str) -> dict:
     kind needs or a term entry without integer shifts, raises ValueError
     with a one-line message.
     """
+    import json  # only an alternative fixtures document needs it here
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

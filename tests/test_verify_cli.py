@@ -1,12 +1,16 @@
+import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import magicsq
-from magicsq.cli import main
+from magicsq.cli import _emit_json, main
 from magicsq.polyring import from_json_dict, parse_poly
 from magicsq.verify import CheckResult, VerifyReport, fixture_names, run_fixture, run_verify
 
@@ -241,29 +245,108 @@ def test_cli_json_is_deterministic():
     assert a.stdout == b.stdout
 
 
-def test_cli_import_loads_every_layer_and_no_heavy_stdlib():
-    # Every command is a new process: importing the CLI must not pull in
-    # dataclasses/inspect (code generation), fractions/decimal (only the
-    # inexact-division error path needs them), random (only the semiring
-    # fuzz) or fnmatch (only verify --filter), and must still load every
-    # layer module, since the benchmark tracer wraps them after import.
-    heavy = {"dataclasses", "inspect", "fractions", "decimal", "random", "fnmatch"}
-    code = (
-        "import json, sys, magicsq.cli; "
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
-        f"{('magicsq', *sorted(heavy))!r})))"
-    )
+def _written(obj) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(obj)
+    return out.getvalue()
+
+
+def _dumped(obj) -> str:
+    # the oracle: json's own key-sorted, indented output
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+def test_emit_json_matches_json_dumps(obj):
+    assert _written(obj) == _dumped(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"a": {}, "b": [], "c": [{}, [[]], ()], "d": {"e": {"f": []}}},
+        [{}], [], {}, (),
+        ['quote"', "back\\slash", "new\nline", "del\x7f", "é", "😀", "", "plain ascii ~"],
+        {'quote"': 1, "é": 2, "😀": 3, "new\nline": 4},
+        [-0.0, 0.0, 1e16, 1e-7, 0.1, float("nan"), float("inf"), float("-inf")],
+        [10**40, -(10**40), 0, -1],
+        [True, 1, False, 0, None],
+        {"one": 1, "true": True},
+        "top-level string", 7, 2.5, None, True,
+    ],
+)
+def test_emit_json_cases(obj):
+    assert _written(obj) == _dumped(obj)
+
+
+@pytest.mark.parametrize(
+    "obj", [{1, 2}, b"bytes", parse_poly("1+t"), [set()], {"a": [{(1, 2): 3}]},
+            # json would write this key as "1"; no command prints a non-str key
+            {1: "a"}]
+)
+def test_emit_json_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        _written(obj)
+
+
+def _probe(code: str):
+    # a fresh interpreter without site, so only magicsq's own imports count
     src = os.path.dirname(os.path.dirname(os.path.abspath(magicsq.__file__)))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
+    return proc.stdout
+
+
+def test_cli_import_loads_every_layer_and_no_heavy_stdlib():
+    # Every command is a new process: importing the CLI must not pull in
+    # dataclasses/inspect (code generation), fractions/decimal (only the
+    # inexact-division error path needs them), random (only the semiring
+    # fuzz), fnmatch (only verify --filter) or json (only reading a data
+    # file), and must still load every layer module, since the benchmark
+    # tracer wraps them after import.
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "random", "fnmatch", "json"}
+    out = _probe(
+        "import sys, magicsq.cli; "
+        "print(repr(sorted(m for m in sys.modules if m.split('.')[0] in "
+        f"{('magicsq', *sorted(heavy))!r})))"
+    )
+    loaded = set(ast.literal_eval(out))
     assert not loaded & heavy
     layers = ("rootsys", "weyl", "poincare", "polyring", "cgmb", "jinv", "qform",
               "magictables", "verify", "_data")
     assert {f"magicsq.{m}" for m in layers} <= loaded
+
+
+def test_cli_command_without_data_never_imports_json():
+    out = _probe(
+        "import sys, magicsq.cli; "
+        "code = magicsq.cli.main(['weyl', 'order', '--type', 'E6']); "
+        "print(code, 'json' in sys.modules)"
+    )
+    assert out == '{\n  "order": 51840,\n  "type": "E6"\n}\n0 False\n'
+
+
+def test_cli_command_with_data_still_reads_it(capsys):
+    argv = ["tables", "magic", "--row", "octonion", "--col", "F4"]
+    out = _probe(
+        f"import sys, magicsq.cli; code = magicsq.cli.main({argv!r}); "
+        "print(code, 'json' in sys.modules)"
+    )
+    assert out == run_cli(capsys, *argv)[1] + "0 True\n"
+    assert json.loads(out[: -len("0 True\n")])["group"] == "E8"
 
 
 def test_cli_usage_error_exit_code():
@@ -338,6 +421,19 @@ def test_cli_validation_errors_map_to_exit_2(capsys):
             "conormed Poincare polynomial for (2E6, X_1): X_1 is not stable under "
             "the diagram twist (1 <-> 6)",
         ),
+        # json is every command's format; text only verify's, csv only the
+        # full tables magic listing's
+        (["--format", "csv", "weyl", "order", "--type", "E6"], "weyl order prints json, not csv"),
+        (
+            ["--format", "text", "poincare", "--type", "E6", "--variety", "1"],
+            "poincare prints json, not text",
+        ),
+        (["--format", "csv", "verify"], "verify prints text or json, not csv"),
+        (
+            ["--format", "csv", "tables", "magic", "--row", "octonion", "--col", "F4"],
+            "tables magic with --row/--col prints json, not csv",
+        ),
+        (["--format", "text", "tables", "magic"], "tables magic prints json or csv, not text"),
     ):
         code = main(argv)
         err = capsys.readouterr().err
