@@ -17,9 +17,14 @@ Verb-noun grammar, node sets as comma lists in Bourbaki numbering:
     magicsq tables magic | conditions --group 2E6 | tits-index --rost not-pure-symbol
     magicsq verify [--filter 'dims-*']
 
-Every command is a new process, so the parser is built only for the
-command it was invoked with (``_build_parser``); help and usage errors
-read as if every command had been built.
+The grammar is written down once, in ``_COMMANDS``.  Every command is a
+new process, so a well-formed argv, every option named in full, is read
+straight from that table (``_parse``) without importing argparse.
+Anything else (help, an abbreviation, a value starting with ``-`` given
+as a separate word, an error) goes to argparse, built from the same table
+and only for the command it was invoked with (``_build_parser``), so help
+and usage errors read as if every command had been built.  A value that
+starts with ``-`` takes the ``=`` form: ``--gamma=-,+,+``, ``--p=-1+t``.
 
 Every command prints json; ``verify`` also prints text (its default) and
 the full ``tables magic`` listing also prints csv.  Any other ``--format``
@@ -34,10 +39,10 @@ JSON output is byte-deterministic for fixed arguments, except the
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections.abc import Sequence
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import cgmb, jinv, magictables, poincare, qform, verify, weyl
 from .polyring import (
@@ -204,98 +209,173 @@ def _algebra(kind: str, word: str) -> qform.CompositionAlgebraR:
     return qform.CompositionAlgebraR(kind, word == "definite")
 
 
-def _weyl_args(w: argparse.ArgumentParser) -> None:
-    wsub = w.add_subparsers(dest="verb", required=True)
-    worder = wsub.add_parser("order")
-    worder.add_argument("--type", required=True)
-    wcosets = wsub.add_parser("cosets")
-    wcosets.add_argument("--type", required=True)
-    wcosets.add_argument("--parabolic", required=True)
-    wdc = wsub.add_parser("double-cosets")
-    wdc.add_argument("--type", required=True)
-    wdc.add_argument("--left", required=True)
-    wdc.add_argument("--right", required=True)
-    wdc.add_argument("--star", choices=("none", "opposition"), default="none")
+_REQUIRED = {"required": True}
+_FLAG = {"action": "store_true", "default": False}
+_STARS = ("none", "opposition")
 
-
-def _poly_args(p: argparse.ArgumentParser) -> None:
-    psub = p.add_subparsers(dest="verb", required=True)
-    pev = psub.add_parser("eval-rational")
-    pev.add_argument("--num", required=True, help="comma list of factors")
-    pev.add_argument("--den", required=True, help="comma list of factors")
-    pdiv = psub.add_parser("divides")
-    pdiv.add_argument("--p", required=True)
-    pdiv.add_argument("--q", required=True)
-    pdiv.add_argument("--semiring", action="store_true")
-
-
-def _poincare_args(pc: argparse.ArgumentParser) -> None:
-    pc.add_argument("--type", required=True)
-    pc.add_argument("--variety", required=True, help="circled nodes, e.g. 1,6")
-    pc.add_argument("--conormed", action="store_true")
-
-
-def _jinv_args(j: argparse.ArgumentParser) -> None:
-    jsub = j.add_subparsers(dest="verb", required=True)
-    jp = jsub.add_parser("poly")
-    jp.add_argument("--group", required=True)
-    jp.add_argument("--j", required=True, help="value vector, e.g. 1,0,0")
-    je = jsub.add_parser("enumerate")
-    je.add_argument("--group", required=True)
-    jsub.add_parser("table")
-
-
-def _cgmb_args(c: argparse.ArgumentParser) -> None:
-    csub = c.add_subparsers(dest="verb", required=True)
-    cs = csub.add_parser("skeleton")
-    cs.add_argument("--ambient", required=True)
-    cs.add_argument("--kernel", required=True)
-    cs.add_argument("--variety", required=True, help="circled nodes of the variety")
-    cs.add_argument("--star", choices=("none", "opposition"), default="opposition")
-    cc = csub.add_parser("check")
-    cc.add_argument("--fixture", required=True)
-    csub.add_parser("blocks")
-
-
-def _qform_args(q: argparse.ArgumentParser) -> None:
-    qsub = q.add_subparsers(dest="verb", required=True)
-    qa = qsub.add_parser("af-e7")
-    qa.add_argument("--q", required=True, help="definite | split")
-    qa.add_argument("--o", required=True, help="definite | split")
-    qa.add_argument("--gamma", required=True, help="three signs, e.g. +,+,-")
-
-
-def _tables_args(t: argparse.ArgumentParser) -> None:
-    tsub = t.add_subparsers(dest="verb", required=True)
-    tm = tsub.add_parser("magic")
-    tm.add_argument("--row", default=None)
-    tm.add_argument("--col", default=None)
-    tc = tsub.add_parser("conditions")
-    tc.add_argument("--group", default=None)
-    tt = tsub.add_parser("tits-index")
-    tt.add_argument("--rost", default=None)
-    tsub.add_parser("constructions")
-
-
-def _verify_args(v: argparse.ArgumentParser) -> None:
-    v.add_argument("--filter", default=None, help="glob over check names")
-
-
-# command -> (help line, function adding its verbs and arguments)
+# The command-line grammar: argparse's add_argument keywords per option.
+_TOP_OPTIONS = {
+    "--format": {
+        "choices": ("json", "text", "csv"),
+        "default": None,
+        "help": "output format (default json; verify defaults to text)",
+    },
+    "--fixtures": {"default": None, "help": "path to an alternative fixtures document"},
+}
+# command -> (help line, verb -> options); a command without verbs has
+# the single verb None
 _COMMANDS = {
-    "weyl": ("Weyl group computations", _weyl_args),
-    "poly": ("integer polynomial operations", _poly_args),
-    "poincare": ("flag variety Poincare polynomials", _poincare_args),
-    "jinv": ("J-invariant profiles", _jinv_args),
-    "cgmb": ("double-coset motive skeletons", _cgmb_args),
-    "qform": ("real diagonal quadratic forms", _qform_args),
-    "tables": ("pinned classification tables", _tables_args),
-    "verify": ("run the pinned verification suite", _verify_args),
+    "weyl": (
+        "Weyl group computations",
+        {
+            "order": {"--type": _REQUIRED},
+            "cosets": {"--type": _REQUIRED, "--parabolic": _REQUIRED},
+            "double-cosets": {
+                "--type": _REQUIRED,
+                "--left": _REQUIRED,
+                "--right": _REQUIRED,
+                "--star": {"choices": _STARS, "default": "none"},
+            },
+        },
+    ),
+    "poly": (
+        "integer polynomial operations",
+        {
+            "eval-rational": {
+                "--num": {"required": True, "help": "comma list of factors"},
+                "--den": {"required": True, "help": "comma list of factors"},
+            },
+            "divides": {"--p": _REQUIRED, "--q": _REQUIRED, "--semiring": _FLAG},
+        },
+    ),
+    "poincare": (
+        "flag variety Poincare polynomials",
+        {
+            None: {
+                "--type": _REQUIRED,
+                "--variety": {"required": True, "help": "circled nodes, e.g. 1,6"},
+                "--conormed": _FLAG,
+            }
+        },
+    ),
+    "jinv": (
+        "J-invariant profiles",
+        {
+            "poly": {
+                "--group": _REQUIRED,
+                "--j": {"required": True, "help": "value vector, e.g. 1,0,0"},
+            },
+            "enumerate": {"--group": _REQUIRED},
+            "table": {},
+        },
+    ),
+    "cgmb": (
+        "double-coset motive skeletons",
+        {
+            "skeleton": {
+                "--ambient": _REQUIRED,
+                "--kernel": _REQUIRED,
+                "--variety": {"required": True, "help": "circled nodes of the variety"},
+                "--star": {"choices": _STARS, "default": "opposition"},
+            },
+            "check": {"--fixture": _REQUIRED},
+            "blocks": {},
+        },
+    ),
+    "qform": (
+        "real diagonal quadratic forms",
+        {
+            "af-e7": {
+                "--q": {"required": True, "help": "definite | split"},
+                "--o": {"required": True, "help": "definite | split"},
+                "--gamma": {"required": True, "help": "three signs, e.g. +,+,-"},
+            }
+        },
+    ),
+    "tables": (
+        "pinned classification tables",
+        {
+            "magic": {"--row": {"default": None}, "--col": {"default": None}},
+            "conditions": {"--group": {"default": None}},
+            "tits-index": {"--rost": {"default": None}},
+            "constructions": {},
+        },
+    ),
+    "verify": (
+        "run the pinned verification suite",
+        {None: {"--filter": {"default": None, "help": "glob over check names"}}},
+    ),
 }
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for argv: only the commands argv names get their arguments.
+def _read_options(argv: Sequence[str], i: int, options: dict, ns: dict) -> int | None:
+    """Read ``--name VALUE``, ``--name=VALUE`` and ``--flag`` from argv[i:] into ns.
+
+    Stops at the first token not starting with ``-`` and returns its
+    index; returns None on anything argparse might read otherwise: a name
+    not spelled out in full, a separate value starting with ``-``, the
+    value ``=--``, a flag given a value, a bad choice or a missing
+    required option.
+    """
+    given = {}
+    while i < len(argv) and argv[i].startswith("-"):
+        name, eq, value = argv[i].partition("=")
+        kw = options.get(name)
+        if kw is None:
+            return None
+        if kw.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            i += 1
+            if i == len(argv) or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+        elif value == "--":  # argparse drops it and stores an empty list
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        given[name] = value  # a repeated option keeps its last value
+        i += 1
+    for name, kw in options.items():
+        if name in given:
+            value = given[name]
+        elif kw.get("required"):
+            return None
+        else:
+            value = kw.get("default")
+        ns[name[2:].replace("-", "_")] = value
+    return i
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for a well-formed argv, else None.
+
+    Accepts ``(--format F | --fixtures P)* COMMAND [VERB] options`` with
+    every name spelled out; help, abbreviations and anything argparse
+    would reject are left to ``_build_parser``, which alone prints usage.
+    """
+    ns: dict = {}
+    i = _read_options(argv, 0, _TOP_OPTIONS, ns)
+    if i is None or i == len(argv) or argv[i] not in _COMMANDS:
+        return None
+    ns["command"] = argv[i]
+    verbs = _COMMANDS[argv[i]][1]
+    verb = None
+    i += 1
+    if None not in verbs:
+        if i == len(argv) or argv[i] not in verbs:
+            return None
+        ns["verb"] = verb = argv[i]
+        i += 1
+    if _read_options(argv, i, verbs[verb], ns) != len(argv):
+        return None
+    return SimpleNamespace(**ns)
+
+
+def _build_parser(argv: Sequence[str]):
+    """The argparse parser for argv: only the commands argv names get their options.
 
     Every command is registered with its help line, so help and "invalid
     choice" errors list all of them.  argparse matches a command name
@@ -303,25 +383,28 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     populated; the others are never parsed, and building them is most of
     a command's parser cost.
     """
+    import argparse  # only help and usage errors need it
+
     top = argparse.ArgumentParser(
         prog="magicsq",
         description="Exact Weyl, polynomial, and quadratic-form computations "
         "for the magic-square groups.",
     )
-    top.add_argument(
-        "--format",
-        choices=("json", "text", "csv"),
-        default=None,
-        help="output format (default json; verify defaults to text)",
-    )
-    top.add_argument(
-        "--fixtures", default=None, help="path to an alternative fixtures document"
-    )
+    for name, kw in _TOP_OPTIONS.items():
+        top.add_argument(name, **kw)
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_args) in _COMMANDS.items():
+    for name, (help_line, verbs) in _COMMANDS.items():
         parser = sub.add_parser(name, help=help_line)
-        if name in argv:
-            add_args(parser)
+        if name not in argv:
+            continue
+        if None in verbs:
+            parsers = {None: parser}
+        else:
+            verb_sub = parser.add_subparsers(dest="verb", required=True)
+            parsers = {verb: verb_sub.add_parser(verb) for verb in verbs}
+        for verb, options in verbs.items():
+            for opt, kw in options.items():
+                parsers[verb].add_argument(opt, **kw)
     return top
 
 
@@ -602,7 +685,9 @@ def _formats(args) -> tuple[str, ...]:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        args = _build_parser(argv).parse_args(argv)
     try:
         formats = _formats(args)
         fmt = args.format or formats[0]

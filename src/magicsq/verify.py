@@ -323,26 +323,50 @@ def _double_coset_partition() -> bool:
 
 
 _FUZZ_CASES = 10_000
+_FUZZ_SEED = 20260808
+
+
+def _randint(rng):
+    """rng.randint, drawing the same numbers straight from rng.getrandbits.
+
+    ``randint(a, b)`` is a plus the first ``getrandbits(k)`` below n, where
+    n = b - a + 1 and k = n.bit_length() (CPython 3.10 to 3.13); calling
+    getrandbits directly skips randint's chain of method calls.
+    """
+    bits = rng.getrandbits
+
+    def randint(a: int, b: int) -> int:
+        n = b - a + 1
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return a + r
+
+    return randint
+
+
+def _fuzz_cases(randint):
+    """Each fuzz case's style and the coefficients of q and of r (styles 0, 1) or p."""
+    for case in range(_FUZZ_CASES):
+        q = [randint(1, 4)] + [randint(0, 3) for _ in range(randint(0, 5))]
+        style = case % 4
+        if style == 0:
+            other = [randint(0, 3) for _ in range(randint(1, 6))]
+        elif style == 1:
+            other = [randint(-3, 3) for _ in range(randint(1, 6))]
+        else:
+            other = [randint(-4, 4) for _ in range(randint(0, 9))]
+        yield style, q, other
 
 
 def _semiring_fuzz() -> dict:
     import random  # only this check draws random cases
 
-    rng = random.Random(20260808)
     violations = 0
-    for case in range(_FUZZ_CASES):
-        q = IntPoly(
-            [rng.randint(1, 4)] + [rng.randint(0, 3) for _ in range(rng.randint(0, 5))]
-        )
-        style = case % 4
-        if style == 0:
-            r = IntPoly([rng.randint(0, 3) for _ in range(rng.randint(1, 6))])
-            p = q * r
-        elif style == 1:
-            r = IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 6))])
-            p = q * r
-        else:
-            p = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(0, 9))])
+    for style, q_coeffs, other in _fuzz_cases(_randint(random.Random(_FUZZ_SEED))):
+        q = IntPoly(q_coeffs)
+        p = q * IntPoly(other) if style < 2 else IntPoly(other)
         semi, semi_quot = divides_semiring(p, q)
         ring, ring_quot = divides_ring(p, q)
         if semi:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import magicsq
+from magicsq import verify
 from magicsq.cli import _emit_json, main
 from magicsq.polyring import from_json_dict, parse_poly
 from magicsq.verify import CheckResult, VerifyReport, fixture_names, run_fixture, run_verify
@@ -35,6 +37,15 @@ def test_run_verify_filter():
     report = run_verify("dims-*")
     assert [c.name for c in report.checks] == ["dims-x16-e6", "dims-x2-e6", "dims-y1-e7"]
     assert report.all_pass
+
+
+def test_semiring_fuzz_draws_the_cases_randint_draws():
+    # the fuzz reads getrandbits directly; on this interpreter its 10,000
+    # cases must be the ones random.Random.randint draws from the same seed
+    want = list(verify._fuzz_cases(random.Random(verify._FUZZ_SEED).randint))
+    got = list(verify._fuzz_cases(verify._randint(random.Random(verify._FUZZ_SEED))))
+    assert len(got) == verify._FUZZ_CASES
+    assert got == want
 
 
 def test_run_verify_unknown_filter_lists_names():
@@ -314,10 +325,11 @@ def test_cli_import_loads_every_layer_and_no_heavy_stdlib():
     # Every command is a new process: importing the CLI must not pull in
     # dataclasses/inspect (code generation), fractions/decimal (only the
     # inexact-division error path needs them), random (only the semiring
-    # fuzz), fnmatch (only verify --filter) or json (only reading a data
-    # file), and must still load every layer module, since the benchmark
-    # tracer wraps them after import.
-    heavy = {"dataclasses", "inspect", "fractions", "decimal", "random", "fnmatch", "json"}
+    # fuzz), fnmatch (only verify --filter), json (only reading a data
+    # file) or argparse (only help and usage errors), and must still load
+    # every layer module, since the benchmark tracer wraps them after import.
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "random", "fnmatch", "json",
+             "argparse"}
     out = _probe(
         "import sys, magicsq.cli; "
         "print(repr(sorted(m for m in sys.modules if m.split('.')[0] in "
@@ -337,6 +349,30 @@ def test_cli_command_without_data_never_imports_json():
         "print(code, 'json' in sys.modules)"
     )
     assert out == '{\n  "order": 51840,\n  "type": "E6"\n}\n0 False\n'
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--type", "E7", "--variety", "2"],
+    ["qform", "af-e7", "--q", "split", "--o", "definite", "--gamma=-,+,+"],
+])
+def test_cli_well_formed_command_never_imports_argparse(argv, capsys):
+    # the command table parses it; argparse (and gettext, locale) stay unloaded
+    out = _probe(
+        f"import sys, magicsq.cli; code = magicsq.cli.main({argv!r}); "
+        "print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])"
+    )
+    assert out == run_cli(capsys, *argv)[1] + "0 []\n"
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["weyl", "order"], 2)])
+def test_cli_help_and_usage_errors_still_use_argparse(argv, code):
+    out = _probe(
+        f"import sys, magicsq.cli\n"
+        f"try:\n    magicsq.cli.main({argv!r})\n"
+        "except SystemExit as exc:\n    print(exc.code, 'argparse' in sys.modules)"
+    )
+    assert out.endswith(f"{code} True\n")
+    assert out.startswith("usage: magicsq") == (code == 0)
 
 
 def test_cli_command_with_data_still_reads_it(capsys):
