@@ -25,6 +25,8 @@ as a separate word, an error) goes to argparse, built from the same table
 and only for the command it was invoked with (``_build_parser``), so help
 and usage errors read as if every command had been built.  A value that
 starts with ``-`` takes the ``=`` form: ``--gamma=-,+,+``, ``--p=-1+t``.
+``--name=--`` is a usage error (argparse reads the ``--`` as the end of
+the options and stores an empty list).
 
 Every command prints json; ``verify`` also prints text (its default) and
 the full ``tables magic`` listing also prints csv.  Any other ``--format``
@@ -39,6 +41,7 @@ JSON output is byte-deterministic for fixed arguments, except the
 
 from __future__ import annotations
 
+import enum
 import sys
 from collections.abc import Sequence
 from functools import lru_cache
@@ -185,6 +188,32 @@ def _poly_payload(p: IntPoly) -> dict:
     payload["pretty"] = format_poly(p)
     payload["value_at_1"] = p(1)
     return payload
+
+
+def _plain(value):
+    """A field as json data; str, int, bool and None pass unchanged."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, IntPoly):
+        return _poly_payload(value)
+    return value
+
+
+def _fields(rec, rename=None) -> dict:
+    """A record's fields through ``_plain``, keyed by name or by ``rename[name]``."""
+    rename = rename or {}
+    return {rename.get(n, n): _plain(getattr(rec, n)) for n in type(rec).__slots__}
+
+
+# MagicCell field -> payload key, in csv column order
+_MAGIC = {"row_label": "row", "col_label": "col", "group_type": "group",
+          "invariant_degree": "degree"}
+# TitsConstructionRow fields printed together under "condition"
+_CONDITION = ("condition_lhs", "condition_relation", "condition_rhs", "invariant_degree")
 
 
 def _gamma(text: str) -> tuple[int, int, int]:
@@ -536,14 +565,7 @@ def _cmd_cgmb(args, fixtures_doc) -> int:
         result = verify.run_fixture(args.fixture, fixtures_doc)
         _emit_json(result)
         return 0 if result["pass"] else 1
-    _emit_json(
-        {
-            "blocks": [
-                {"name": b.name, "kind": b.kind, "poly": _poly_payload(b.poly)}
-                for b in cgmb.karpenko_blocks()
-            ]
-        }
-    )
+    _emit_json({"blocks": [_fields(b) for b in cgmb.karpenko_blocks()]})
     return 0
 
 
@@ -566,101 +588,39 @@ def _cmd_qform(args) -> int:
 
 def _cmd_tables(args, fmt) -> int:
     if args.verb == "magic":
-        cells = magictables.magic_square()
         if args.row or args.col:
             if not (args.row and args.col):
                 raise ValueError("--row and --col must be given together")
-            cell = magictables.query_magic_square(args.row, args.col)
-            _emit_json(
-                {
-                    "row": cell.row_label,
-                    "col": cell.col_label,
-                    "group": cell.group_type,
-                    "degree": cell.invariant_degree,
-                }
-            )
-            return 0
-        if fmt == "csv":
-            sys.stdout.write("row,col,group,degree\n")
-            for c in cells:
-                sys.stdout.write(
-                    f"{c.row_label},{c.col_label},{c.group_type},{c.invariant_degree}\n"
-                )
-            return 0
-        _emit_json(
-            {
-                "cells": [
-                    {
-                        "row": c.row_label,
-                        "col": c.col_label,
-                        "group": c.group_type,
-                        "degree": c.invariant_degree,
-                    }
-                    for c in cells
-                ]
-            }
-        )
+            _emit_json(_fields(magictables.query_magic_square(args.row, args.col), _MAGIC))
+        elif fmt == "csv":
+            sys.stdout.write(",".join(_MAGIC.values()) + "\n")
+            for c in magictables.magic_square():
+                sys.stdout.write(",".join(str(getattr(c, f)) for f in _MAGIC) + "\n")
+        else:
+            _emit_json({"cells": [_fields(c, _MAGIC) for c in magictables.magic_square()]})
         return 0
     if args.verb == "conditions":
         rows = magictables.condition_rows()
         if args.group:
             rows = (magictables.conditions_for(args.group),)
-        _emit_json(
-            {
-                "rows": [
-                    {
-                        "group": r.group,
-                        "degree": r.degree,
-                        "j_values": list(r.j_values) if r.j_values else None,
-                        "j_degrees": list(r.j_degrees) if r.j_degrees else None,
-                        "condition": r.condition,
-                        "equivalent_condition": r.equivalent_condition,
-                        "parabolic": r.parabolic_label,
-                        "binary_motive_dim": r.binary_motive_dim,
-                    }
-                    for r in rows
-                ]
-            }
-        )
+        # the parabolic column prints as its label, "any" or "P_1,6"
+        payload = [
+            dict(_fields(r), parabolic=r.parabolic_label,
+                 binary_motive_dim=r.binary_motive_dim)
+            for r in rows
+        ]
+        _emit_json({"rows": payload})
         return 0
     if args.verb == "tits-index":
         cases = magictables.tits_index_cases()
         if args.rost:
             cases = (magictables.tits_index_for_rost(args.rost),)
-        _emit_json(
-            {
-                "cases": [
-                    {
-                        "rost_condition": c.rost_condition.value,
-                        "circled_nodes": sorted(c.circled_nodes),
-                        "kernel_type": c.kernel_type,
-                        "quasi_split": c.quasi_split,
-                        "impossible": c.impossible,
-                    }
-                    for c in cases
-                ]
-            }
-        )
+        _emit_json({"cases": [_fields(c) for c in cases]})
         return 0
-    _emit_json(
-        {
-            "rows": [
-                {
-                    "group": r.group,
-                    "construction": r.construction,
-                    "inputs": r.inputs,
-                    "condition": {
-                        "lhs": r.condition_lhs,
-                        "relation": r.condition_relation,
-                        "rhs": r.condition_rhs,
-                        "invariant_degree": r.invariant_degree,
-                    },
-                    "condition_text": r.condition_text,
-                }
-                for r in magictables.tits_construction_rows()
-            ]
-        }
-    )
+    rows = [_fields(r) for r in magictables.tits_construction_rows()]
+    for row in rows:
+        row["condition"] = {f.removeprefix("condition_"): row.pop(f) for f in _CONDITION}
+    _emit_json({"rows": rows})
     return 0
 
 
@@ -687,7 +647,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse(argv)
     if args is None:
-        args = _build_parser(argv).parse_args(argv)
+        parser = _build_parser(argv)
+        args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # ``--name=--``: argparse stores []
+                parser.error(f"argument --{name}: expected one argument")
     try:
         formats = _formats(args)
         fmt = args.format or formats[0]

@@ -208,8 +208,11 @@ def parse_poly(text: str) -> IntPoly:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial string")
+    terms = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(terms) != s:
+        raise ValueError(f"a sign with no term after it in {text!r}")
     coeffs: dict[int, int] = {}
-    for term in re.findall(r"[+-]?[^+-]+", s):
+    for term in terms:
         m = re.match(_TERM_RE, term)
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ValueError(f"cannot parse term {term!r} in {text!r}")

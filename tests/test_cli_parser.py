@@ -198,6 +198,27 @@ def test_parse_declines_what_it_does_not_fully_read(argv):
     assert cli._parse(argv) is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["weyl", "order", "--type=--"],
+    ["poly", "eval-rational", "--num=--", "--den=1"],
+    ["poly", "divides", "--p=--", "--q=1"],
+    ["poincare", "--type=--", "--variety", "1"],
+    ["jinv", "enumerate", "--group=--"],
+    ["cgmb", "skeleton", "--ambient=--", "--kernel", "3,4,5", "--variety", "2"],
+    ["qform", "af-e7", "--q", "definite", "--o", "definite", "--gamma=--"],
+    ["tables", "conditions", "--group=--"],
+    ["verify", "--filter=--"],
+    ["--fixtures=--", "tables", "constructions"],
+])
+def test_option_given_double_dash_is_a_usage_error(argv):
+    # argparse stores ``--name=--`` as an empty list; main refuses it
+    got = _run_main(argv)
+    name = next(a for a in argv if a.endswith("=--"))[:-3]
+    assert got["code"] == 2
+    assert got["stdout"] == "" and "Traceback" not in got["stderr"]
+    assert got["stderr"].endswith(f"error: argument {name}: expected one argument\n")
+
+
 def test_parse_accepts_every_snapshot_success():
     # help and abbreviations are argparse's; every other exit-0 case is not
     abbreviated = (["--form", "json", "weyl", "order", "--type", "E6"],

@@ -168,6 +168,24 @@ def test_parse_and_format_round_trip():
         parse_poly("x+1")
 
 
+@pytest.mark.parametrize("text", ["1+", "t-", "1++t", "1--t", "1+-t", "-", "+", "+-", "t^2 - "])
+def test_parse_poly_refuses_a_dangling_sign(text):
+    with pytest.raises(ValueError, match="a sign with no term after it"):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("text, coeffs", [
+    ("2t", (0, 2)),
+    ("-t", (0, -1)),
+    ("+t", (0, 1)),
+    ("3*t^2 - t", (0, -1, 3)),
+    ("1+2t+t^2", (1, 2, 1)),
+    ("t^12-1", (-1,) + (0,) * 11 + (1,)),
+])
+def test_parse_poly_signed_terms(text, coeffs):
+    assert parse_poly(text).coeffs == coeffs
+
+
 def test_json_round_trip():
     p = IntPoly([10**30, -5, 0, 3])
     d = to_json_dict(p)

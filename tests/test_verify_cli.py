@@ -432,6 +432,10 @@ def test_cli_validation_errors_map_to_exit_2(capsys):
             "quotient is not in Z[t]; rational coefficients 1/2, 1/2",
         ),
         (
+            ["poly", "divides", "--p", "1+", "--q", "1+t"],
+            "a sign with no term after it in '1+'",
+        ),
+        (
             ["poly", "eval-rational", "--num", "t^2+1", "--den", "t-1"],
             "denominator does not divide numerator; remainder has coefficients 2",
         ),
