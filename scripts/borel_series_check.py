@@ -11,7 +11,8 @@ pair (I, J) of index |W/W_J| <= 2e4 over DOUBLE_COSET_TYPES, with the
 opposition involution as star wherever it fixes I and J, the double
 cosets of the weight-orbit route ``double_cosets`` against the
 permutation-side Kilmoyer reference of ``tests/test_weyl.py``, cell by
-cell: minimal representative, size and star invariance.  Fourth, for
+cell: minimal representative (rebuilt from the cell's images of the
+simple roots by ``full_action``), size and star invariance.  Fourth, for
 every sigma-stable variety of index <= 2e4 over TWISTED_TYPES, the
 conormed polynomial (the sigma-fixed orbit vectors of the walk) against
 the permutation-side reference of ``tests/test_poincare.py`` (the
@@ -72,7 +73,12 @@ TRANSPOSED_MAX_LEFT_INDEX = 20_000
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 from test_poincare import sigma_fixed_reference, sigma_stable_varieties  # noqa: E402
-from test_weyl import _kilmoyer_cells, _kilmoyer_table, _transposed_cells  # noqa: E402
+from test_weyl import (  # noqa: E402
+    _kilmoyer_cells,
+    _kilmoyer_table,
+    _transposed_cells,
+    full_action,
+)
 
 
 def check_groups():
@@ -149,7 +155,8 @@ def check_double_cosets():
                     orbit_s += t1 - t0
                     reference_s += t2 - t1
                     got = [
-                        (c.min_rep.length, c.min_rep.action, c.orbit_size, c.star_invariant)
+                        (c.length, full_action(rs, c.simple_images), c.orbit_size,
+                         c.star_invariant)
                         for c in cells
                     ]
                     if got != expected:
@@ -224,7 +231,8 @@ def check_transposed():
                     orbit_s += t1 - t0
                     reference_s += t2 - t1
                     got = [
-                        (c.min_rep.length, c.min_rep.action, c.orbit_size, c.star_invariant)
+                        (c.length, full_action(rs, c.simple_images), c.orbit_size,
+                         c.star_invariant)
                         for c in cells
                     ]
                     if got != expected:

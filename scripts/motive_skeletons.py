@@ -30,9 +30,9 @@ def main():
               f"{sum(c.orbit_size for c in cells)} cosets")
         for c in cells:
             mark = " <- Tate" if c.orbit_size == 1 and c.star_invariant else ""
-            print(f"   length {c.min_rep.length:2d}  orbit {c.orbit_size:3d}  "
+            print(f"   length {c.length:2d}  orbit {c.orbit_size:3d}  "
                   f"star={'y' if c.star_invariant else 'n'}{mark}")
-        print(f"   Tate shifts: {sorted(c.min_rep.length for c in tate)}")
+        print(f"   Tate shifts: {sorted(c.length for c in tate)}")
 
         total = poincare_poly(FlagVariety(CartanType("E", 6), frozenset(variety)))
         residual = total - binary - binary.shift(low_shift)

@@ -81,7 +81,7 @@ def tate_skeleton(
     """Shifts of the Tate summands: lengths of the singleton, star-fixed cells."""
     cells = weyl.double_cosets(rs, kernel, target, star)
     return sorted(
-        c.min_rep.length for c in cells if c.orbit_size == 1 and c.star_invariant
+        c.length for c in cells if c.orbit_size == 1 and c.star_invariant
     )
 
 

@@ -469,7 +469,7 @@ def _cmd_weyl(args) -> int:
             "star": args.star,
             "cells": [
                 {
-                    "length": c.min_rep.length,
+                    "length": c.length,
                     "orbit_size": c.orbit_size,
                     "star_invariant": c.star_invariant,
                 }

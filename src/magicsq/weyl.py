@@ -21,8 +21,8 @@ that a reflection is one integer subtraction.  The counts cross-check
 whichever of W.lambda_I and W.lambda_J is smaller: a cell of W_I\\W/W_J
 is an orbit vector of W.lambda_J dominant on the left nodes I, or,
 through the inversion w -> w^-1 onto W_J\\W/W_I, an orbit vector of
-W.lambda_I dominant on J.  Only the cell's minimal representative is
-built as a permutation (on W.lambda_I, as the inverse of the walked one).
+W.lambda_I dominant on J.  Each walked vector carries its rep's action
+(on W.lambda_J only on the simple roots); no WeylElement is built.
 
 Given a diagram automorphism sigma, ``coset_length_counts`` keeps only
 the orbit vectors whose coordinates sigma maps back to themselves: the
@@ -31,12 +31,11 @@ quasi-split flag variety.
 
 Group elements are built as permutations only by ``minimal_coset_reps``
 (breadth-first from the identity, keeping J-reduced elements),
-``chain_length_polynomial``, ``double_cosets`` (one minimal representative
-per cell) and the reference implementations in the tests;
-``opposition_involution`` builds none.  Every enumeration of a quotient,
-the full group included, checks the index |W|/|W_J| at call time
-(``_check_index``) and refuses one beyond its limit; ``double_cosets``
-refuses only when both |W/W_I| and |W/W_J| are beyond it.
+``chain_length_polynomial`` and the reference implementations in the
+tests.  Every enumeration of a quotient, the full group included, checks
+the index |W|/|W_J| at call time (``_check_index``) and refuses one
+beyond its limit; ``double_cosets`` refuses only when both |W/W_I| and
+|W/W_J| are beyond it.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ from ._record import derived, record
 from .polyring import IntPoly, eval_rational
 from .rootsys import DiagramAut, RootSystem, signed_table
 
-# Index limits of _check_index: the permutation-building enumerations
-# (minimal_coset_reps, double_cosets) and the bare orbit count.
+# Index limits of _check_index: the enumerations that return an item per
+# coset or cell (minimal_coset_reps, double_cosets) and the bare orbit count.
 _ENUMERATION_LIMIT = 100_000
 _ORBIT_COUNT_LIMIT = 2_000_000
 
@@ -99,9 +98,12 @@ class CosetRep:
 
 @record
 class DoubleCosetCell:
-    """One double coset W_I w W_J, recorded through its W^J orbit."""
+    """One double coset W_I w W_J, recorded through its W^J orbit; its minimal
+    representative w as l(w) and as its images of ``positive_roots[:rank]``,
+    the simple roots (a_rank first), which fix w."""
 
-    min_rep: WeylElement
+    length: int
+    simple_images: tuple[int, ...]
     left_nodes: frozenset[int]
     right_nodes: frozenset[int]
     orbit_size: int
@@ -421,10 +423,14 @@ def double_cosets(
 ) -> list[DoubleCosetCell]:
     """Partition W/W_right into W_left orbits (the double cosets W_I\\W/W_J).
 
-    Each cell records its unique minimal-length representative, its size
-    (number of right cosets it contains), and whether the star action
-    maps the cell to itself.  star=None means the identity action, under
-    which every cell is invariant.  Cells are sorted by (length, action).
+    Each cell records its unique minimal-length representative w (its
+    length and its images of the simple roots), its size (number of right
+    cosets it contains), and whether the star action maps the cell to
+    itself.  star=None means the identity action, under which every cell
+    is invariant.  Cells are sorted by (length, simple_images), which is
+    the (length, action) order of the representatives as permutations:
+    the simple roots lead the positive roots and form a basis, so two
+    distinct representatives first differ on them.
 
     The cells are read off a weight orbit (Bjorner-Brenti, Combinatorics
     of Coxeter Groups, 2.7), W.lambda_J or W.lambda_I, whichever is
@@ -461,56 +467,49 @@ def double_cosets(
     walked_nodes, kept_nodes = (I, J) if swap else (J, I)
 
     packing = _Packing(rs)
-    bias = packing.BIAS
+    bias, fields = packing.BIAS, packing.fields
     kept_pos = [i - 1 for i in sorted(kept_nodes)]
     mask = packing.sign_mask(kept_pos)
-    walked = 0
-    dominant: list[int] = []
-    for level in _orbit_levels(rs, walked_nodes):
-        walked += len(level)
-        dominant.extend(u for u in level if (u & mask) == mask)
-
-    n = rs.num_positive
+    rank = rs.rank
     signed = rs.signed_reflection_tables
-    # level 0 is the dominant weight alone, the image of the identity.  On
-    # W.lambda_I the walked rep is v and the cell's is v^-1: keep
-    # signed_table(v^-1), since that of (s_i v)^-1 = v^-1 s_i is one gather
-    # of it through s_i's signed table
-    identity = tuple(range(n))
-    actions = {dominant[0]: signed_table(identity) if swap else identity}
-
-    def action_of(u: int) -> tuple[int, ...]:
-        # walk back to the dominant weight through the lowest coordinate;
-        # every step removes one inversion, so the rep of u is s_i times
-        # its parent's
-        path = []
-        while u not in actions:
-            mu = packing.fields(u)
-            low = min(mu)
-            i = mu.index(low)
-            path.append((u, i))
-            u -= packing[i, low - bias]
-        act = actions[u]
-        for nu, i in reversed(path):
-            act = _compose(act, signed[i]) if swap else _compose(signed[i], act)
-            actions[nu] = act
-        return act[:n]
-
-    permute = None if star is None else _picker([star(i + 1) - 1 for i in range(rs.rank)])
-    stabilizer_order = functools.cache(lambda K: parabolic_order(rs, K))
+    # each vector carries its minimal rep, s_i times its parent's (any
+    # parent: reps are unique); on W.lambda_J as images of the simple roots,
+    # on W.lambda_I as signed_table(v^-1) for the walked v: (s_i v)^-1 = v^-1 s_i
+    ident = signed_table(tuple(range(rs.num_positive))) if swap else tuple(range(rank))
+    level = {packing.pack(0 if (i + 1) in walked_nodes else 1 for i in range(rank)): ident}
+    walked = length = 0
+    dominant: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    while level:
+        walked += len(level)
+        nxt: dict[int, tuple[int, ...]] = {}
+        for u, images in level.items():
+            mu = fields(u)
+            if (u & mask) == mask:
+                dominant.append((length, images[:rank], mu))
+            for i, f in enumerate(mu):
+                if f > bias:
+                    v = u - packing[i, f - bias]
+                    if v not in nxt:
+                        nxt[v] = (
+                            _compose(images, signed[i]) if swap
+                            else _compose(signed[i], images)
+                        )
+        level = nxt
+        length += 1
+    permute = None if star is None else _picker([star(i + 1) - 1 for i in range(rank)])
+    # the size depends only on the kept coordinates, which take few values
+    kept = _picker(kept_pos)
+    size = functools.cache(lambda values: left_order // parabolic_order(
+        rs, frozenset(i + 1 for i, m in zip(kept_pos, values) if m == bias)
+    ))
     out = [
         # positional: keyword arguments take record's slower binding path
         DoubleCosetCell(
-            WeylElement(action_of(u)),
-            I,
-            J,
-            left_order
-            // stabilizer_order(frozenset(i + 1 for i in kept_pos if mu[i] == bias)),
-            permute is None or permute(mu) == mu,
+            length, images, I, J, size(kept(mu)), permute is None or permute(mu) == mu
         )
-        for u, mu in zip(dominant, map(packing.fields, dominant))
+        # reps differ on the simple roots, so the sort never compares mu
+        for length, images, mu in sorted(dominant)
     ]
-    out.sort(key=lambda c: (c.min_rep.length, c.min_rep.action))
     if walked != min(index, left_index) or sum(c.orbit_size for c in out) != index:
         raise AssertionError("double coset orbit sizes do not partition W/W_J")
     return out

@@ -1,3 +1,8 @@
+import contextlib
+import io
+import pathlib
+import runpy
+
 import pytest
 
 from magicsq.cgmb import (
@@ -48,6 +53,17 @@ def test_tate_skeleton_contains_point_and_fundamental_class():
     for levi, dim in (({1, 3, 4, 5, 6}, 21), ({2, 3, 4, 5}, 24)):
         shifts = tate_skeleton(rs, {3, 4, 5}, levi, star)
         assert shifts[0] == 0 and shifts[-1] == dim
+
+
+def test_motive_skeletons_script():
+    # the script prints every cell of both outer-E6 skeletons; run it as
+    # ``python scripts/motive_skeletons.py`` would, in this process
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "motive_skeletons.py"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(script), run_name="__main__")
+    shifts = [line.strip() for line in out.getvalue().splitlines() if "Tate shifts" in line]
+    assert shifts == ["Tate shifts: [0, 6, 15, 21]", "Tate shifts: [0, 9, 15, 24]"]
 
 
 def test_tate_skeleton_trivial_kernel():

@@ -40,9 +40,16 @@ RECORDS = [
     ),
     (
         DoubleCosetCell,
-        (WeylElement((-2, 1)), frozenset({1}), frozenset({2}), 3, True),
-        ("min_rep", "left_nodes", "right_nodes", "orbit_size", "star_invariant"),
-        f"DoubleCosetCell(min_rep={W1}, left_nodes=frozenset({{1}}), "
+        (1, (-2, 1), frozenset({1}), frozenset({2}), 3, True),
+        (
+            "length",
+            "simple_images",
+            "left_nodes",
+            "right_nodes",
+            "orbit_size",
+            "star_invariant",
+        ),
+        "DoubleCosetCell(length=1, simple_images=(-2, 1), left_nodes=frozenset({1}), "
         "right_nodes=frozenset({2}), orbit_size=3, star_invariant=True)",
     ),
     (

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import math
 
@@ -175,6 +177,7 @@ def test_quotient_enumeration_guard(monkeypatch, capsys):
         raise AssertionError("orbit walk started before the index guard")
 
     monkeypatch.setattr(weyl, "_orbit_levels", no_walk)
+    monkeypatch.setattr(weyl, "_Packing", no_walk)
     with pytest.raises(ValueError, match="348364800 cosets"):
         double_cosets(_rs("E8"), {1}, {1})
     # the full group gets the same guard, which the CLI reports as is
@@ -216,16 +219,61 @@ def test_longest_element_length(label, levi, expected):
     assert longest_element_length(_rs(label), levi) == expected
 
 
+def _pack(vector):
+    """A root vector as one int, linear in the vector: sum of v_k 2^(16k)."""
+    return sum(c << (16 * k) for k, c in enumerate(vector))
+
+
+@functools.cache
+def _root_chains(rs):
+    """Each non-simple positive root as an earlier root plus a simple root.
+
+    Returns ((index of the earlier root, k) for roots rank.., with the
+    root equal to the earlier one plus a_(k+1)), and the packed signed
+    roots mapped to their signed indices.
+    """
+    roots = rs.positive_roots
+    where = {root: r for r, root in enumerate(roots)}
+    chains = []
+    for root in roots[rs.rank :]:
+        chains.append(next(
+            (where[prev], k)
+            for k in range(rs.rank)
+            if (prev := root[:k] + (root[k] - 1,) + root[k + 1 :]) in where
+        ))
+    lookup = {_pack(root): r for r, root in enumerate(roots)}
+    lookup.update({-_pack(root): ~r for r, root in enumerate(roots)})
+    return chains, lookup
+
+
+def full_action(rs, simple_images):
+    """w's action on every positive root, from its images of the simple roots.
+
+    ``simple_images[k]`` is w(positive_roots[k]) for k < rank, the simple
+    roots.  w is linear: a root b = c + a_j with c an earlier root has
+    w(b) = w(c) + w(a_j), read back as a signed root index.
+    """
+    chains, lookup = _root_chains(rs)
+    roots = rs.positive_roots
+    images = [_pack(roots[s]) if s >= 0 else -_pack(roots[~s]) for s in simple_images]
+    simple = [images[rs.simple_root_index(k + 1)] for k in range(rs.rank)]
+    for prev, k in chains:
+        images.append(images[prev] + simple[k])
+    return tuple(lookup[v] for v in images)
+
+
 def test_double_cosets_partition_and_minimality():
     rs = _rs("E6")
     star = opposition_involution(rs)
     cells = double_cosets(rs, {3, 4, 5}, {1, 3, 4, 5, 6}, star)
     assert sum(c.orbit_size for c in cells) == 72
     for c in cells:
-        assert not (right_descents(rs, c.min_rep) & c.right_nodes)
-        assert not (left_descents(rs, c.min_rep) & c.left_nodes)
+        w = WeylElement(full_action(rs, c.simple_images))
+        assert w.length == c.length
+        assert not (right_descents(rs, w) & c.right_nodes)
+        assert not (left_descents(rs, w) & c.left_nodes)
     tate = sorted(
-        c.min_rep.length for c in cells if c.orbit_size == 1 and c.star_invariant
+        c.length for c in cells if c.orbit_size == 1 and c.star_invariant
     )
     assert tate == [0, 6, 15, 21]
 
@@ -236,7 +284,7 @@ def test_double_cosets_x16_instance():
     cells = double_cosets(rs, {3, 4, 5}, {2, 3, 4, 5}, star)
     assert sum(c.orbit_size for c in cells) == 270
     tate = sorted(
-        c.min_rep.length for c in cells if c.orbit_size == 1 and c.star_invariant
+        c.length for c in cells if c.orbit_size == 1 and c.star_invariant
     )
     assert tate == [0, 9, 15, 24]
 
@@ -246,7 +294,7 @@ def test_double_cosets_empty_left_is_cell_per_coset():
     cells = double_cosets(rs, (), {2, 3})
     assert len(cells) == 4
     assert all(c.orbit_size == 1 and c.star_invariant for c in cells)
-    lengths = sorted(c.min_rep.length for c in cells)
+    lengths = sorted(c.length for c in cells)
     assert lengths == [0, 1, 2, 3]
 
 
@@ -262,8 +310,70 @@ def test_double_cosets_star_must_stabilize():
 def test_double_cosets_deterministic_order():
     rs = _rs("E6")
     cells = double_cosets(rs, {3, 4, 5}, {1, 3, 4, 5, 6})
-    keys = [(c.min_rep.length, c.min_rep.action) for c in cells]
+    keys = [(c.length, full_action(rs, c.simple_images)) for c in cells]
     assert keys == sorted(keys)
+
+
+# every type the tests build a root system for
+BUILT_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "A6", "A8", "B2", "B3", "B4", "B5", "B17",
+    "C2", "C3", "C4", "C5", "D3", "D4", "D5", "D6", "D7", "E6", "E7", "E8", "F4", "G2",
+    "2A2", "2A3", "2A4", "2A5", "2A12", "2D4", "2D5", "2E6", "1D6",
+]
+
+
+@pytest.mark.parametrize("label", BUILT_TYPES)
+def test_simple_roots_lead_the_positive_roots(label):
+    # the cells' sort key rests on this: positive_roots[:rank] are the
+    # simple roots, a_rank first
+    rs = _rs(label)
+    n = rs.rank
+    units = [tuple(int(k == i) for k in range(n)) for i in reversed(range(n))]
+    assert list(rs.positive_roots[:n]) == units
+    assert [rs.simple_root_index(i) for i in range(n, 0, -1)] == list(range(n))
+
+
+@pytest.mark.parametrize("label", ["F4", "D5", "B4"])
+def test_simple_images_order_like_full_actions(label):
+    # over the whole group, the images of the simple roots tell elements
+    # apart and sort them as the full permutations do
+    rs = _rs(label)
+    group = [rep.element for rep in minimal_coset_reps(rs, ())]
+    assert len(group) == weyl_order(rs)
+    assert len({w.action[: rs.rank] for w in group}) == len(group)
+    by_action = sorted(group, key=lambda w: (w.length, w.action))
+    assert by_action == sorted(group, key=lambda w: (w.length, w.action[: rs.rank]))
+    assert all(full_action(rs, w.action[: rs.rank]) == w.action for w in group)
+
+
+# sha256 of stdout, recorded before the cells dropped their permutations:
+# most cells of these outputs share their length with cells whose printed
+# fields differ, so the digests pin the order within each length
+DOUBLE_COSET_DIGESTS = [
+    (
+        "--type E7 --left 1 --right 1,2,3,5,6,7",
+        "32e473ae540195969cd4ef6198ae6e7cc36f98697aaa0d4405f98cd9aa653f2f",
+    ),
+    (
+        "--type E8 --left 2,3,4,5,6,7,8 --right 1",
+        "3f70f50a14fe0c00ddb9f533729949b5007b56f33e1422a140411367276d22d9",
+    ),
+    (
+        "--type E6 --left 4,5 --right 1,2 --star none",
+        "27d78d75dfe2beb1dae195b77fd5fd8da440f44301856de0a79fc7783839f4c2",
+    ),
+    (
+        "--type D7 --left 1,2,3 --right 1,2,4,5 --star opposition",
+        "543ec7ac0aeb0234b2f7730faa302654e29646a770f1313e71cbe10c638e7c75",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", DOUBLE_COSET_DIGESTS)
+def test_double_cosets_output_digest(args, digest, capsys):
+    assert main(["weyl", "double-cosets", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_double_cosets_compute_weyl_order_once(monkeypatch):
@@ -309,7 +419,7 @@ def test_double_coset_partition_property(label, left, right):
     cells = double_cosets(rs, left, right)
     index = weyl_order(rs) // parabolic_order(rs, right)
     assert sum(c.orbit_size for c in cells) == index
-    lengths = [c.min_rep.length for c in cells]
+    lengths = [c.length for c in cells]
     assert lengths == sorted(lengths)
     assert lengths[0] == 0  # the identity double coset
 
@@ -411,7 +521,7 @@ def test_double_cosets_match_kilmoyer_reference():
             tables[label, right, star_name] = _kilmoyer_table(rs, right, star)
         cells = double_cosets(rs, left, right, star)
         got = [
-            (c.min_rep.length, c.min_rep.action, c.orbit_size, c.star_invariant)
+            (c.length, full_action(rs, c.simple_images), c.orbit_size, c.star_invariant)
             for c in cells
         ]
         expected = _kilmoyer_cells(rs, tables[label, right, star_name], left)
@@ -454,7 +564,7 @@ def test_double_cosets_match_transposed_reference(label, left, right, star_name)
     star = opposition_involution(rs) if star_name else None
     assert weyl._index(rs, left) <= 240 and weyl._index(rs, right) > 100_000
     got = [
-        (c.min_rep.length, c.min_rep.action, c.orbit_size, c.star_invariant)
+        (c.length, full_action(rs, c.simple_images), c.orbit_size, c.star_invariant)
         for c in double_cosets(rs, left, right, star)
     ]
     table = _kilmoyer_table(rs, left, star)
