@@ -21,8 +21,9 @@ that a reflection is one integer subtraction.  The counts cross-check
 whichever of W.lambda_I and W.lambda_J is smaller: a cell of W_I\\W/W_J
 is an orbit vector of W.lambda_J dominant on the left nodes I, or,
 through the inversion w -> w^-1 onto W_J\\W/W_I, an orbit vector of
-W.lambda_I dominant on J.  Each walked vector carries its rep's action
-(on W.lambda_J only on the simple roots); no WeylElement is built.
+W.lambda_I dominant on J.  Each walked vector carries its rep's images of
+the simple roots, on W.lambda_I packed into one int (``_InversePacking``);
+no WeylElement is built.
 
 Given a diagram automorphism sigma, ``coset_length_counts`` keeps only
 the orbit vectors whose coordinates sigma maps back to themselves: the
@@ -316,6 +317,52 @@ class _Packing(dict):
         return sum(1 << (16 * i + 15) for i in positions)
 
 
+class _InversePacking:
+    """A Weyl element w by its images of the simple roots, packed into one int.
+
+    A root x (simple-root coordinates, each below 2^7 in absolute value: at
+    most 6, on E8) packs linearly as sum x_j 2^(8j), in a field of
+    W = 8 * rank bits; slot r of the element's int holds the field of
+    w(positive_roots[r]), the simple root a_(rank - r).  Every packing is
+    linear, so w s_i, with images w(a_k) - <a_k, a_i^v> w(a_i), is one
+    multiply-subtract (``reflect``): the field of w(a_i) times the packed
+    Cartan column i.  A field is read biased by 2^(W-1), so no field borrows
+    from the next.
+    """
+
+    def __init__(self, rs: RootSystem):
+        rank = rs.rank
+        width = 8 * rank
+        self.nbytes = rank * rank
+        self.slots = [slice(n, n + rank) for n in range(0, rank * rank, rank)]
+        self.field = (1 << width) - 1
+        self.half = 1 << (width - 1)
+        self.bias = sum(self.half << (width * r) for r in range(rank))
+        # wall i: the shift of slot rank - 1 - i, and the packed column i
+        self.walls = [
+            (width * (rank - 1 - i),
+             sum(rs.cartan[rank - 1 - r][i] << (width * r) for r in range(rank)))
+            for i in range(rank)
+        ]
+        roots = [sum(c << (8 * j) for j, c in enumerate(v)) for v in rs.positive_roots]
+        self.identity = sum(x << (width * r) for r, x in enumerate(roots[:rank]))
+        # the biased bytes of a root's field -> its signed root index
+        self.index = {}
+        for r, x in enumerate(roots):
+            self.index[(self.half + x).to_bytes(rank, "little")] = r
+            self.index[(self.half - x).to_bytes(rank, "little")] = ~r
+
+    def reflect(self, w: int, i: int) -> int:
+        """w s_i, for the reflection in wall i (node i + 1)."""
+        shift, column = self.walls[i]
+        return w - ((((w + self.bias) >> shift) & self.field) - self.half) * column
+
+    def images(self, w: int) -> tuple[int, ...]:
+        """w on positive_roots[:rank], as signed root indices."""
+        raw = (w + self.bias).to_bytes(self.nbytes, "little")
+        return tuple(map(self.index.__getitem__, map(raw.__getitem__, self.slots)))
+
+
 def _orbit_levels(rs: RootSystem, J: frozenset[int]) -> Iterator[set[int]]:
     """Yield the W-orbit of lambda_J (1 off J, 0 on J) level by level.
 
@@ -474,26 +521,24 @@ def double_cosets(
     signed = rs.signed_reflection_tables
     # each vector carries its minimal rep, s_i times its parent's (any
     # parent: reps are unique); on W.lambda_J as images of the simple roots,
-    # on W.lambda_I as signed_table(v^-1) for the walked v: (s_i v)^-1 = v^-1 s_i
-    ident = signed_table(tuple(range(rs.num_positive))) if swap else tuple(range(rank))
+    # on W.lambda_I as v^-1 for the walked v, packed: (s_i v)^-1 = v^-1 s_i
+    inverse = _InversePacking(rs) if swap else None
+    ident = inverse.identity if swap else tuple(range(rank))
     level = {packing.pack(0 if (i + 1) in walked_nodes else 1 for i in range(rank)): ident}
     walked = length = 0
     dominant: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     while level:
         walked += len(level)
-        nxt: dict[int, tuple[int, ...]] = {}
-        for u, images in level.items():
+        nxt: dict = {}
+        for u, rep in level.items():
             mu = fields(u)
             if (u & mask) == mask:
-                dominant.append((length, images[:rank], mu))
+                dominant.append((length, inverse.images(rep) if swap else rep, mu))
             for i, f in enumerate(mu):
                 if f > bias:
                     v = u - packing[i, f - bias]
                     if v not in nxt:
-                        nxt[v] = (
-                            _compose(images, signed[i]) if swap
-                            else _compose(signed[i], images)
-                        )
+                        nxt[v] = inverse.reflect(rep, i) if swap else _compose(signed[i], rep)
         level = nxt
         length += 1
     permute = None if star is None else _picker([star(i + 1) - 1 for i in range(rank)])
