@@ -35,9 +35,9 @@ is a usage error.  JSON is written by ``_emit_json``, byte for byte as
 json: a command that reads no data file never loads it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 120 stdout
-closed by its reader.  JSON output is byte-deterministic for fixed
-arguments, except the ``runtime_ms`` wall-time field of each ``verify``
-check.
+closed by its reader or not writable (a full disk).  JSON output is
+byte-deterministic for fixed arguments, except the ``runtime_ms``
+wall-time field of each ``verify`` check.
 
 ``main`` returns the exit code and never ends the process: the tests and
 the benchmark tracer call it in-process.  The process entry point is
@@ -707,20 +707,27 @@ def run() -> None:
 
     A reader that closes stdout early (``| head``) raises BrokenPipeError
     from a write in ``main`` or from the flush; the process then exits 120
-    and prints nothing.  ``SystemExit`` (help, usage errors), any other
-    exception and any other failed flush leave through the normal exit.
+    and prints nothing.  Any other OSError from a write or the flush (a
+    full disk, ``> /dev/full``) also exits 120, after one line on stderr.
+    An OSError naming a file comes from reading one, not from the output,
+    and keeps its traceback.  ``SystemExit`` (help, usage errors) and any
+    other exception leave through the normal exit.
     """
     try:
         code = main()
-    except BrokenPipeError:
-        os._exit(_CLOSED_PIPE)  # the unwritten output goes with the process
-    try:
         sys.stdout.flush()
         sys.stderr.flush()
     except BrokenPipeError:
+        os._exit(_CLOSED_PIPE)  # the unwritten output goes with the process
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        try:
+            sys.stderr.write(f"magicsq: cannot write output: {exc.strerror}\n")
+            sys.stderr.flush()
+        except OSError:
+            pass  # stderr is the stream that failed
         os._exit(_CLOSED_PIPE)
-    except OSError:
-        sys.exit(code)  # finalization flushes again and reports the error
     os._exit(code)
 
 

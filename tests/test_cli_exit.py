@@ -4,8 +4,9 @@
 ``python -m magicsq.cli``, the console script); ``main`` returns its exit
 code and is what the tests and the benchmark tracer call in-process.
 These tests start real processes where the exit itself is under test: no
-output may be lost at the fast exit, and a stdout closed by its reader
-ends the process with 120 and nothing on stderr.
+output may be lost at the fast exit, a stdout closed by its reader ends
+the process with 120 and nothing on stderr, and a stdout that cannot be
+written ends it with 120 and one line on stderr.
 """
 
 import hashlib
@@ -109,13 +110,21 @@ def test_run_exits_120_on_a_closed_stdout(monkeypatch):
     assert _run(monkeypatch, _raise(BrokenPipeError())) == 120
 
 
+def test_run_exits_120_on_an_unwritable_stdout(monkeypatch):
+    # a failed write or flush other than a closed pipe is reported in one line
+    full = OSError(28, "No space left on device")
+    for main, error in ((lambda: 0, full), (_raise(full), None)):
+        assert _run(monkeypatch, main, error) == 120
+        assert sys.stderr.getvalue() == "magicsq: cannot write output: No space left on device\n"
+
+
 def test_run_keeps_the_normal_exit(monkeypatch):
-    # argparse's exits, other errors and other failed flushes reach finalization
+    # argparse's exits, other errors and a file that cannot be read reach finalization
     exc = _run(monkeypatch, _raise(SystemExit(2)))
     assert isinstance(exc, SystemExit) and exc.code == 2
     assert isinstance(_run(monkeypatch, _raise(KeyError("x"))), KeyError)
-    exc = _run(monkeypatch, lambda: 0, OSError(28, "No space left on device"))
-    assert isinstance(exc, SystemExit) and exc.code == 0
+    missing = FileNotFoundError(2, "No such file or directory", "tables.json")
+    assert _run(monkeypatch, _raise(missing)) is missing
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -130,6 +139,18 @@ def test_closed_stdout_exits_120_silently(argv, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (120, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["weyl", "order", "--type", "E6"], E7_ANCHOR],
+                         ids=["weyl-order", "e7-anchor"])
+def test_unwritable_stdout_exits_120_with_one_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "magicsq", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=_env(unbuffered))
+    assert (proc.returncode, proc.stderr) == (
+        120, b"magicsq: cannot write output: No space left on device\n")
 
 
 def test_fast_exit_keeps_the_e7_anchor_output():

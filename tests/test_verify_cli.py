@@ -321,25 +321,49 @@ def _probe(code: str):
     return proc.stdout
 
 
-def test_cli_import_loads_every_layer_and_no_heavy_stdlib():
-    # Every command is a new process: importing the CLI must not pull in
-    # dataclasses/inspect (code generation), fractions/decimal (only the
-    # inexact-division error path needs them), random (only the semiring
-    # fuzz), fnmatch (only verify --filter), json (only reading a data
-    # file) or argparse (only help and usage errors), and must still load
-    # every layer module, since the benchmark tracer wraps them after import.
-    heavy = {"dataclasses", "inspect", "fractions", "decimal", "random", "fnmatch", "json",
-             "argparse"}
+LAYERS = ("_data", "_record", "cgmb", "jinv", "magictables", "poincare", "polyring", "qform",
+          "rootsys", "verify", "weyl")
+# a module that LazyLoader registered but has not executed is a subclass
+_EXECUTED = ("sorted(m.removeprefix('magicsq.') for m, mod in sys.modules.items() "
+             "if m.startswith('magicsq.') and type(mod) is types.ModuleType)")
+
+
+def test_cli_import_registers_every_layer():
+    # the benchmark tracer finds the layers in sys.modules after this import
+    out = _probe("import sys, magicsq.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('magicsq.')))")
+    assert ast.literal_eval(out) == sorted(f"magicsq.{m}" for m in (*LAYERS, "cli"))
+
+
+def test_layers_import_no_heavy_stdlib():
+    # Every command is a new process: no layer may pull in dataclasses/inspect
+    # (code generation), fractions/decimal (only the inexact-division error
+    # path needs them), random (only the semiring fuzz), fnmatch (only verify
+    # --filter), json (only reading a data file) or argparse (only help and
+    # usage errors).  vars() executes every lazily registered layer first.
+    heavy = ("argparse", "dataclasses", "decimal", "fnmatch", "fractions", "inspect", "json",
+             "random")
     out = _probe(
-        "import sys, magicsq.cli; "
-        "print(repr(sorted(m for m in sys.modules if m.split('.')[0] in "
-        f"{('magicsq', *sorted(heavy))!r})))"
+        "import sys, types, magicsq.cli; "
+        "[vars(mod) for m, mod in list(sys.modules.items()) if m.startswith('magicsq.')]; "
+        f"print({_EXECUTED}, [m for m in {heavy!r} if m in sys.modules])"
     )
-    loaded = set(ast.literal_eval(out))
-    assert not loaded & heavy
-    layers = ("rootsys", "weyl", "poincare", "polyring", "cgmb", "jinv", "qform",
-              "magictables", "verify", "_data")
-    assert {f"magicsq.{m}" for m in layers} <= loaded
+    assert out == f"{sorted((*LAYERS, 'cli'))!r} []\n"
+
+
+@pytest.mark.parametrize("argv, executed", [
+    (["poincare", "--type", "E7", "--variety", "2"],
+     ("_record", "poincare", "polyring", "rootsys", "weyl")),
+    (["weyl", "cosets", "--type", "E6", "--parabolic", "1,3,4,5,6"],
+     ("_record", "polyring", "rootsys", "weyl")),
+])
+def test_cli_command_executes_only_its_layers(argv, executed):
+    out = _probe(
+        "import io, sys, types, magicsq.cli; "
+        f"sys.stdout = io.StringIO(); code = magicsq.cli.main({argv!r}); "
+        f"sys.stdout = sys.__stdout__; print(code, {_EXECUTED})"
+    )
+    assert out == f"0 {sorted((*executed, 'cli'))!r}\n"
 
 
 def test_cli_command_without_data_never_imports_json():
