@@ -12,7 +12,8 @@ opposition involution as star wherever it fixes I and J, the double
 cosets of the weight-orbit route ``double_cosets`` against the
 permutation-side Kilmoyer reference of ``tests/test_weyl.py``, cell by
 cell: minimal representative (rebuilt from the cell's images of the
-simple roots by ``full_action``), size and star invariance.  Fourth, for
+simple roots by ``full_action`` of ``tests/_reference.py``), size and
+star invariance.  Fourth, for
 every sigma-stable variety of index <= 2e4 over TWISTED_TYPES, the
 conormed polynomial (the sigma-fixed orbit vectors of the walk) against
 the permutation-side reference of ``tests/test_poincare.py`` (the
@@ -37,7 +38,6 @@ from magicsq.poincare import conormed_poincare
 from magicsq.polyring import IntPoly
 from magicsq.rootsys import CartanType, build_root_system, opposition_involution
 from magicsq.weyl import (
-    chain_length_polynomial,
     coset_length_counts,
     double_cosets,
     fundamental_degrees,
@@ -72,13 +72,9 @@ TRANSPOSED_TYPES = ["D6", "E6", "E7"]
 TRANSPOSED_MAX_LEFT_INDEX = 20_000
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from _reference import chain_length_polynomial, full_action  # noqa: E402
 from test_poincare import sigma_fixed_reference, sigma_stable_varieties  # noqa: E402
-from test_weyl import (  # noqa: E402
-    _kilmoyer_cells,
-    _kilmoyer_table,
-    _transposed_cells,
-    full_action,
-)
+from test_weyl import _kilmoyer_cells, _kilmoyer_table, _transposed_cells  # noqa: E402
 
 
 def check_groups():

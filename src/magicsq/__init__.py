@@ -60,15 +60,13 @@ _PUBLIC = {
     ),
     "rootsys": (
         "CartanType", "DiagramAut", "RootSystem", "build_root_system", "diagram_aut",
-        "identity_aut", "opposition_involution", "twist_aut", "root_system_to_json",
-        "sub_diagram_type",
+        "identity_aut", "opposition_involution", "twist_aut", "sub_diagram_type",
     ),
     "verify": ("VerifyReport", "run_fixture", "run_verify"),
     "weyl": (
-        "CosetRep", "DoubleCosetCell", "WeylElement", "coset_length_counts", "double_cosets",
-        "fundamental_degrees", "longest_element_length", "minimal_coset_reps",
-        "parabolic_order", "quotient_poly", "reduced_word", "weyl_order",
-        "weyl_order_by_cosets",
+        "DoubleCosetCell", "coset_length_counts", "double_cosets", "fundamental_degrees",
+        "longest_element_length", "minimal_coset_reps", "parabolic_order", "quotient_poly",
+        "weyl_order",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _PUBLIC.items() for name in names}

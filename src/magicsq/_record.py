@@ -3,26 +3,17 @@
 Every command is one process, so start-up is paid on every lookup.
 ``dataclasses`` imports ``inspect`` (and with it ``ast``, ``dis`` and
 ``tokenize``) and then ``exec``s the source of every method of every
-decorated class.  With the 18 records of this package as dataclasses,
-``import magicsq.cli`` took 32 ms, of which 7 ms was importing
-``dataclasses``; built here it takes 9 ms (best of 15, CPython 3.11,
-shared 2-core VM; the rest of the saving is ``typing`` and ``fractions``,
-no longer imported).  ``record`` builds the same methods from closures
-and ``operator.attrgetter`` instead.
+decorated class.  With the package's records as dataclasses (18 of them
+then, 16 now), ``import magicsq.cli`` took 32 ms, of which 7 ms was
+importing ``dataclasses``; built here it takes 9 ms (best of 15, CPython
+3.11, shared 2-core VM; the rest of the saving is ``typing`` and
+``fractions``, no longer imported).  ``record`` builds the same methods
+from closures and ``operator.attrgetter`` instead.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-
-
-class _Derived:
-    pass
-
-
-def derived() -> _Derived:
-    """A field that ``__post_init__`` sets: no ``__init__`` argument, not compared."""
-    return _Derived()
 
 
 def record(cls: type) -> type:
@@ -35,11 +26,7 @@ def record(cls: type) -> type:
     raise ``AttributeError``.  Methods the class body defines are kept.
     """
     body = dict(cls.__dict__)
-    names = tuple(cls.__annotations__)
-    derived_names = [n for n in names if isinstance(body.get(n), _Derived)]
-    for n in derived_names:
-        del body[n]
-    params = tuple(n for n in names if n not in derived_names)
+    params = tuple(cls.__annotations__)
     defaults = {n: body.pop(n) for n in params if n in body}
     required = len(params) - len(defaults)
     if tuple(defaults) != params[required:]:
@@ -47,7 +34,7 @@ def record(cls: type) -> type:
     tail = tuple(defaults.values())
     for n in ("__dict__", "__weakref__"):
         body.pop(n, None)
-    new = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": names})
+    new = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": params})
 
     setters = tuple(getattr(new, n).__set__ for n in params)
     post_init = body.get("__post_init__")
@@ -94,7 +81,7 @@ def record(cls: type) -> type:
             return hash(key(self))
 
     def __repr__(self):
-        parts = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        parts = ", ".join(f"{n}={getattr(self, n)!r}" for n in params)
         return f"{self.__class__.__qualname__}({parts})"
 
     def __setattr__(self, name, value):

@@ -62,22 +62,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from types import SimpleNamespace
 
-from . import cgmb, jinv, magictables, poincare, qform, verify, weyl
-from .polyring import (
-    IntPoly,
-    divides_ring,
-    divides_semiring,
-    eval_rational,
-    format_poly,
-    parse_poly,
-    to_json_dict,
-)
-from .rootsys import (
-    CartanType,
-    build_root_system,
-    identity_aut,
-    opposition_involution,
-)
+from . import cgmb, jinv, magictables, poincare, polyring, qform, rootsys, verify, weyl
 
 _USAGE_ERROR = 2
 
@@ -193,14 +178,14 @@ def _nodes(text: str) -> frozenset[int]:
     return frozenset(_ints(text, "node list"))
 
 
-def _poly_list(text: str) -> list[IntPoly]:
-    return [parse_poly(part) for part in text.split(",")]
+def _poly_list(text: str) -> list[polyring.IntPoly]:
+    return [polyring.parse_poly(part) for part in text.split(",")]
 
 
-def _poly_payload(p: IntPoly) -> dict:
-    payload = to_json_dict(p)
+def _poly_payload(p: polyring.IntPoly) -> dict:
+    payload = polyring.to_json_dict(p)
     payload["degree"] = p.degree
-    payload["pretty"] = format_poly(p)
+    payload["pretty"] = polyring.format_poly(p)
     payload["value_at_1"] = p(1)
     return payload
 
@@ -213,8 +198,6 @@ def _plain(value):
         return list(value)
     if isinstance(value, enum.Enum):
         return value.value
-    if isinstance(value, IntPoly):
-        return _poly_payload(value)
     return value
 
 
@@ -453,7 +436,7 @@ def _build_parser(argv: Sequence[str]):
 
 
 def _cmd_weyl(args) -> int:
-    rs = build_root_system(CartanType.from_string(args.type))
+    rs = rootsys.build_root_system(rootsys.CartanType.from_string(args.type))
     if args.verb == "order":
         _emit_json({"type": args.type, "order": weyl.weyl_order(rs)})
         return 0
@@ -474,7 +457,7 @@ def _cmd_weyl(args) -> int:
         return 0
     left = _nodes(args.left)
     right = _nodes(args.right)
-    star = opposition_involution(rs) if args.star == "opposition" else None
+    star = rootsys.opposition_involution(rs) if args.star == "opposition" else None
     cells = weyl.double_cosets(rs, left, right, star)
     _emit_json(
         {
@@ -497,12 +480,12 @@ def _cmd_weyl(args) -> int:
 
 def _cmd_poly(args) -> int:
     if args.verb == "eval-rational":
-        result = eval_rational(_poly_list(args.num), _poly_list(args.den))
+        result = polyring.eval_rational(_poly_list(args.num), _poly_list(args.den))
         _emit_json(_poly_payload(result))
         return 0
-    p = parse_poly(args.p)
-    q = parse_poly(args.q)
-    ok, quot = (divides_semiring if args.semiring else divides_ring)(p, q)
+    p = polyring.parse_poly(args.p)
+    q = polyring.parse_poly(args.q)
+    ok, quot = (polyring.divides_semiring if args.semiring else polyring.divides_ring)(p, q)
     payload = {"divides": ok, "semiring": args.semiring}
     if quot is not None:
         payload["quotient"] = _poly_payload(quot)
@@ -511,9 +494,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
-    fv = poincare.FlagVariety(
-        CartanType.from_string(args.type), _nodes(args.variety)
-    )
+    ctype = rootsys.CartanType.from_string(args.type)
+    fv = poincare.FlagVariety(ctype, _nodes(args.variety))
     poly = (
         poincare.conormed_poincare(fv) if args.conormed else poincare.poincare_poly(fv)
     )
@@ -557,13 +539,12 @@ def _cmd_jinv(args) -> int:
 
 def _cmd_cgmb(args, fixtures_doc) -> int:
     if args.verb == "skeleton":
-        rs = build_root_system(CartanType.from_string(args.ambient))
+        rs = rootsys.build_root_system(rootsys.CartanType.from_string(args.ambient))
         kernel = _nodes(args.kernel)
         variety = rs.check_nodes(_nodes(args.variety))
         target = rs.node_set() - variety
-        star = (
-            opposition_involution(rs) if args.star == "opposition" else identity_aut(rs)
-        )
+        opposition = args.star == "opposition"
+        star = (rootsys.opposition_involution if opposition else rootsys.identity_aut)(rs)
         shifts = cgmb.tate_skeleton(rs, kernel, target, star)
         _emit_json(
             {
@@ -580,7 +561,8 @@ def _cmd_cgmb(args, fixtures_doc) -> int:
         result = verify.run_fixture(args.fixture, fixtures_doc)
         _emit_json(result)
         return 0 if result["pass"] else 1
-    _emit_json({"blocks": [_fields(b) for b in cgmb.karpenko_blocks()]})
+    blocks = [dict(_fields(b), poly=_poly_payload(b.poly)) for b in cgmb.karpenko_blocks()]
+    _emit_json({"blocks": blocks})
     return 0
 
 

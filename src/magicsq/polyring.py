@@ -139,18 +139,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __call__(self, x: int) -> int:
         out = 0
         for c in reversed(self._coeffs):
@@ -237,10 +225,6 @@ def parse_poly(text: str) -> IntPoly:
 def to_json_dict(p: IntPoly) -> dict:
     """Machine form: big integers serialized as decimal strings."""
     return {"coeffs": [str(c) for c in p.coeffs]}
-
-
-def from_json_dict(obj: dict) -> IntPoly:
-    return IntPoly([int(c) for c in obj["coeffs"]])
 
 
 def _try_exact_div(p: IntPoly, q: IntPoly) -> IntPoly | None:

@@ -432,12 +432,3 @@ def _side_size(start, blocked, adj) -> int:
                 seen.add(q)
                 stack.append(q)
     return len(seen)
-
-
-def root_system_to_json(rs: RootSystem) -> dict:
-    """Golden-file form: type label, Cartan matrix, ordered positive roots."""
-    return {
-        "type": str(rs.ctype),
-        "cartan": [list(row) for row in rs.cartan],
-        "positive_roots": [list(v) for v in rs.positive_roots],
-    }

@@ -1,11 +1,13 @@
-"""Weyl group elements, coset representatives, and double cosets.
+"""Weyl group orders, quotient polynomials, coset counts and double cosets.
 
-Elements are canonicalized by their permutation action on the signed
-root set (see rootsys for the encoding: nonnegative index = positive
-root, bitwise complement = its negative).  Length is the number of
-positive roots sent to negative ones and is cached on the element.  A
-product is one C-level gather (``_compose``) from the left factor's
-signed table, which Python's negative indexing reads at ~r.
+What the commands and ``verify`` enumerate, they walk on one
+representation, the W-orbit of a weight (below).  Where a representative
+w must be named, it is named by l(w) and its images of the simple roots,
+as signed root indices (see rootsys for the encoding: nonnegative index
+= positive root, bitwise complement = its negative); the simple roots
+are a basis, so they fix w.  Whole elements as signed-root permutations,
+with their descents and reduced words, are the tests' reference
+(``tests/_reference.py``), not part of the package.
 
 The length generating function of a quotient W/W_J is computed in closed
 form by ``quotient_poly``: Solomon's product of [d]_t over the degrees of
@@ -22,21 +24,20 @@ whichever of W.lambda_I and W.lambda_J is smaller: a cell of W_I\\W/W_J
 is an orbit vector of W.lambda_J dominant on the left nodes I, or,
 through the inversion w -> w^-1 onto W_J\\W/W_I, an orbit vector of
 W.lambda_I dominant on J.  Each walked vector carries its rep's images of
-the simple roots, on W.lambda_I packed into one int (``_InversePacking``);
-no WeylElement is built.
+the simple roots, on W.lambda_I packed into one int (``_InversePacking``).
 
 Given a diagram automorphism sigma, ``coset_length_counts`` keeps only
 the orbit vectors whose coordinates sigma maps back to themselves: the
 sigma-fixed minimal coset reps, whose lengths count the cells of the
 quasi-split flag variety.
 
-Group elements are built as permutations only by ``minimal_coset_reps``
-(breadth-first from the identity, keeping J-reduced elements),
-``chain_length_polynomial`` and the reference implementations in the
-tests.  Every enumeration of a quotient, the full group included, checks
-the index |W|/|W_J| at call time (``_check_index``) and refuses one
-beyond its limit; ``double_cosets`` refuses only when both |W/W_I| and
-|W/W_J| are beyond it.
+Only ``minimal_coset_reps`` builds whole permutations, breadth-first from
+the identity keeping J-reduced elements (``_coset_bfs``); nothing in the
+package calls it, and the permutation reference enumerates through it.
+Every enumeration of a quotient, the full group included, checks the
+index |W|/|W_J| at call time (``_check_index``) and refuses one beyond
+its limit; ``double_cosets`` refuses only when both |W/W_I| and |W/W_J|
+are beyond it.
 """
 
 from __future__ import annotations
@@ -47,54 +48,14 @@ import operator
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from ._record import derived, record
+from ._record import record
 from .polyring import IntPoly, eval_rational
-from .rootsys import DiagramAut, RootSystem, signed_table
+from .rootsys import DiagramAut, RootSystem
 
 # Index limits of _check_index: the enumerations that return an item per
 # coset or cell (minimal_coset_reps, double_cosets) and the bare orbit count.
 _ENUMERATION_LIMIT = 100_000
 _ORBIT_COUNT_LIMIT = 2_000_000
-
-
-@record
-class WeylElement:
-    """Group element as its action on positive-root indices (signed)."""
-
-    action: tuple[int, ...]
-    length: int = derived()
-
-    def __post_init__(self):
-        object.__setattr__(self, "length", len([a for a in self.action if a < 0]))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.length == 0
-
-    def apply(self, signed_root: int) -> int:
-        a = self.action
-        return a[signed_root] if signed_root >= 0 else ~a[~signed_root]
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        # (self * other)(r) = self(other(r))
-        return WeylElement(_compose(signed_table(self.action), other.action))
-
-    def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.action)
-        for r, y in enumerate(self.action):
-            if y >= 0:
-                inv[y] = r
-            else:
-                inv[~y] = ~r
-        return WeylElement(tuple(inv))
-
-
-@record
-class CosetRep:
-    """Minimal-length representative of a right coset w * W_J."""
-
-    element: WeylElement
-    parabolic: frozenset[int]
 
 
 @record
@@ -109,16 +70,6 @@ class DoubleCosetCell:
     right_nodes: frozenset[int]
     orbit_size: int
     star_invariant: bool
-
-
-def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(tuple(range(rs.num_positive)))
-
-
-def simple_reflection(rs: RootSystem, node: int) -> WeylElement:
-    if not 1 <= node <= rs.rank:
-        raise ValueError(f"node {node} out of range")
-    return WeylElement(rs.simple_reflection_tables[node - 1])
 
 
 def _compose(signed: tuple[int, ...], action: tuple[int, ...]) -> tuple[int, ...]:
@@ -143,34 +94,6 @@ def _picker(positions: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, 
     if positions:
         return operator.itemgetter(slice(positions[0], positions[0] + 1))
     return operator.itemgetter(slice(0))
-
-
-def right_descents(rs: RootSystem, w: WeylElement) -> frozenset[int]:
-    """Nodes i with l(w s_i) < l(w), i.e. w(a_i) negative."""
-    return frozenset(
-        i + 1 for i in range(rs.rank) if w.action[rs.simple_root_index(i + 1)] < 0
-    )
-
-
-def left_descents(rs: RootSystem, w: WeylElement) -> frozenset[int]:
-    return right_descents(rs, w.inverse())
-
-
-def reduced_word(rs: RootSystem, w: WeylElement) -> list[int]:
-    """One reduced word for w, by repeatedly peeling the smallest right descent."""
-    word: list[int] = []
-    act = w.action
-    tables = rs.simple_reflection_tables
-    while True:
-        for i in range(rs.rank):
-            if act[rs.simple_root_index(i + 1)] < 0:
-                word.append(i + 1)
-                act = _compose(signed_table(act), tables[i])
-                break
-        else:
-            break
-    word.reverse()
-    return word
 
 
 def _degrees(rs: RootSystem, nodes: Iterable[int]) -> list[int]:
@@ -261,22 +184,19 @@ def _check_index(index: int, limit: int) -> int:
     return index
 
 
-def minimal_coset_reps(rs: RootSystem, parabolic: Iterable[int]) -> Iterator[CosetRep]:
-    """Stream the minimal-length representatives of W / W_parabolic.
+def minimal_coset_reps(
+    rs: RootSystem, parabolic: Iterable[int]
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Stream (length, action) for the minimal representatives of W / W_parabolic.
 
-    Deterministic order: by (length, action tuple).  A quotient with
-    more than _ENUMERATION_LIMIT cosets is refused, the full group (empty
+    The action is the signed permutation of the positive roots.
+    Deterministic order: by (length, action).  A quotient with more than
+    _ENUMERATION_LIMIT cosets is refused, the full group (empty
     parabolic) included, at call time rather than at first consumption.
     """
     J = rs.check_nodes(parabolic)
     _check_index(_index(rs, J), _ENUMERATION_LIMIT)
-    gens = list(range(1, rs.rank + 1))
-
-    def stream() -> Iterator[CosetRep]:
-        for _, act in _coset_bfs(rs, gens, J):
-            yield CosetRep(WeylElement(act), J)
-
-    return stream()
+    return _coset_bfs(rs, range(1, rs.rank + 1), J)
 
 
 class _Packing(dict):
@@ -363,16 +283,17 @@ class _InversePacking:
         return tuple(map(self.index.__getitem__, map(raw.__getitem__, self.slots)))
 
 
-def _orbit_levels(rs: RootSystem, J: frozenset[int]) -> Iterator[set[int]]:
+def _orbit_levels(
+    rs: RootSystem, J: frozenset[int], packing: _Packing
+) -> Iterator[set[int]]:
     """Yield the W-orbit of lambda_J (1 off J, 0 on J) level by level.
 
     Coordinates are mu_i = <mu, a_i^v>, and the orbit vectors are the
     images w.lambda_J of the minimal coset reps w of W/W_J.  Crossing
     wall i from the positive side (mu_i > 0) adds exactly one inversion,
     so level l holds the images of the reps of length l, and only two
-    levels live in memory at a time.  Vectors are packed (``_Packing``).
+    levels live in memory at a time.  Vectors are packed by ``packing``.
     """
-    packing = _Packing(rs)
     bias, fields = packing.BIAS, packing.fields
     level = {packing.pack(0 if (i + 1) in J else 1 for i in range(rs.rank))}
     while level:
@@ -402,10 +323,11 @@ def coset_length_counts(
     J = rs.check_nodes(parabolic)
     index = _check_index(_index(rs, J), _ORBIT_COUNT_LIMIT)
     permute = None if star is None else _picker([star(i + 1) - 1 for i in range(rs.rank)])
-    fields = _Packing(rs).fields
+    packing = _Packing(rs)
+    fields = packing.fields
     walked = 0
     counts = {}
-    for length, level in enumerate(_orbit_levels(rs, J)):
+    for length, level in enumerate(_orbit_levels(rs, J, packing)):
         walked += len(level)
         fixed = len(level) if permute is None else sum(
             permute(mu) == mu for mu in map(fields, level)
@@ -424,31 +346,6 @@ def length_counts_to_poly(counts: dict[int, int]) -> IntPoly:
     for length, c in counts.items():
         out[length] = c
     return IntPoly(out)
-
-
-def chain_length_polynomial(rs: RootSystem) -> IntPoly:
-    """Length generating function of W, by a parabolic chain of quotients.
-
-    W factors as nested quotients W_{J_0}/W_{J_1} * ... with lengths
-    adding, so the product of the quotient generating functions equals
-    sum_w t^l(w).  Each quotient is a small coset enumeration; the full
-    group is never materialized (works for E8).
-    """
-    nodes = sorted(rs.node_set())
-    poly = IntPoly.one()
-    for k in range(len(nodes)):
-        gen_nodes = nodes[k:]
-        reduced = frozenset(nodes[k + 1 :])
-        counts: Counter[int] = Counter()
-        for length, _ in _coset_bfs(rs, gen_nodes, reduced):
-            counts[length] += 1
-        poly = poly * length_counts_to_poly(dict(counts))
-    return poly
-
-
-def weyl_order_by_cosets(rs: RootSystem) -> int:
-    """|W| recomputed by explicit coset-orbit enumeration (cross-check)."""
-    return chain_length_polynomial(rs)(1)
 
 
 def longest_element_length(rs: RootSystem, parabolic: Iterable[int]) -> int:

@@ -32,13 +32,11 @@ PUBLIC = {
     "qform": ("CompositionAlgebraR", "DiagFormR", "af_killing_form_e7", "killing_grid",
               "norm_form", "sign_form"),
     "rootsys": ("CartanType", "DiagramAut", "RootSystem", "build_root_system", "diagram_aut",
-                "identity_aut", "opposition_involution", "twist_aut", "root_system_to_json",
-                "sub_diagram_type"),
+                "identity_aut", "opposition_involution", "twist_aut", "sub_diagram_type"),
     "verify": ("VerifyReport", "run_fixture", "run_verify"),
-    "weyl": ("CosetRep", "DoubleCosetCell", "WeylElement", "coset_length_counts",
-             "double_cosets", "fundamental_degrees", "longest_element_length",
-             "minimal_coset_reps", "parabolic_order", "quotient_poly", "reduced_word",
-             "weyl_order", "weyl_order_by_cosets"),
+    "weyl": ("DoubleCosetCell", "coset_length_counts", "double_cosets",
+             "fundamental_degrees", "longest_element_length", "minimal_coset_reps",
+             "parabolic_order", "quotient_poly", "weyl_order"),
 }
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 

@@ -25,9 +25,10 @@ from magicsq.weyl import (
     minimal_coset_reps,
     parabolic_order,
     quotient_poly,
-    reduced_word,
     weyl_order,
 )
+
+from _reference import WeylElement, reduced_word
 
 P_X2_SPLIT = (1, 1, 1, 2, 3, 3, 4, 5, 5, 5, 6, 6, 5, 5, 5, 4, 3, 3, 2, 1, 1, 1)
 P_X16_SPLIT = (
@@ -217,8 +218,8 @@ def sigma_fixed_reference(fv):
         rs.simple_reflection_tables[sigma(i) - 1] for i in range(1, rs.rank + 1)
     ]
     counts = {}
-    for rep in minimal_coset_reps(rs, fv.levi_nodes):
-        w = rep.element
+    for _, action in minimal_coset_reps(rs, fv.levi_nodes):
+        w = WeylElement(action)
         conj = tuple(range(rs.num_positive))
         for i in reduced_word(rs, w):
             conj = tuple(conj[x] if x >= 0 else ~conj[~x] for x in sigma_tables[i - 1])

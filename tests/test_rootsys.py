@@ -8,10 +8,11 @@ from magicsq.rootsys import (
     diagram_aut,
     identity_aut,
     opposition_involution,
-    root_system_to_json,
     sub_diagram_type,
     twist_aut,
 )
+
+from _reference import root_system_to_json
 
 # classical positive-root counts
 COUNTS = {

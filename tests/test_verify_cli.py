@@ -13,8 +13,10 @@ from hypothesis import given, strategies as st
 import magicsq
 from magicsq import verify
 from magicsq.cli import _emit_json, main
-from magicsq.polyring import from_json_dict, parse_poly
+from magicsq.polyring import parse_poly
 from magicsq.verify import CheckResult, VerifyReport, fixture_names, run_fixture, run_verify
+
+from _reference import from_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -356,6 +358,9 @@ def test_layers_import_no_heavy_stdlib():
      ("_record", "poincare", "polyring", "rootsys", "weyl")),
     (["weyl", "cosets", "--type", "E6", "--parabolic", "1,3,4,5,6"],
      ("_record", "polyring", "rootsys", "weyl")),
+    (["tables", "magic"], ("_data", "_record", "magictables")),
+    (["qform", "af-e7", "--q", "split", "--o", "definite", "--gamma=-,+,+"],
+     ("_record", "qform")),
 ])
 def test_cli_command_executes_only_its_layers(argv, executed):
     out = _probe(

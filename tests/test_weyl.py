@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import math
@@ -16,21 +15,23 @@ from magicsq.rootsys import (
     sub_diagram_type,
 )
 from magicsq.weyl import (
-    WeylElement,
-    chain_length_polynomial,
     coset_length_counts,
     double_cosets,
     fundamental_degrees,
-    identity,
-    left_descents,
     longest_element_length,
     minimal_coset_reps,
     parabolic_order,
+    weyl_order,
+)
+
+from _reference import (
+    WeylElement,
+    chain_length_polynomial,
+    full_action,
+    identity,
     reduced_word,
     right_descents,
     simple_reflection,
-    weyl_order,
-    weyl_order_by_cosets,
 )
 
 DEGREES = {
@@ -76,7 +77,7 @@ def test_order_cross_checked_by_coset_enumeration(label):
     # chain of parabolic quotients, all enumerated explicitly; covers E8
     # without ever materializing the full group
     rs = _rs(label)
-    assert weyl_order_by_cosets(rs) == weyl_order(rs)
+    assert chain_length_polynomial(rs)(1) == weyl_order(rs)
 
 
 @pytest.mark.parametrize("label", ["A1", "A3", "B3", "D4", "F4", "G2", "E6", "E7", "E8"])
@@ -101,9 +102,14 @@ def test_identity_and_simple_reflections():
         assert s.inverse() == s
 
 
+def _group(rs):
+    """W as reference elements, in (length, action) order."""
+    return [WeylElement(action) for _, action in minimal_coset_reps(rs, ())]
+
+
 def test_length_changes_by_one_under_simple_multiplication():
     rs = _rs("A3")
-    elements = [rep.element for rep in minimal_coset_reps(rs, ())]
+    elements = _group(rs)
     assert len(elements) == 24
     for w in elements:
         for i in (1, 2, 3):
@@ -113,8 +119,7 @@ def test_length_changes_by_one_under_simple_multiplication():
 
 def test_reduced_words_reconstruct_elements():
     rs = _rs("D4")
-    for rep in minimal_coset_reps(rs, ()):
-        w = rep.element
+    for w in _group(rs):
         word = reduced_word(rs, w)
         assert len(word) == w.length
         acc = identity(rs)
@@ -128,13 +133,13 @@ def test_descent_bookkeeping():
     s1, s2 = simple_reflection(rs, 1), simple_reflection(rs, 2)
     w = s1 * s2
     assert right_descents(rs, w) == frozenset({2})
-    assert left_descents(rs, w) == frozenset({1})
+    assert right_descents(rs, w.inverse()) == frozenset({1})
 
 
 def test_minimal_coset_reps_trivial_parabolic():
     rs = _rs("A1")
     reps = list(minimal_coset_reps(rs, ()))
-    assert [r.element.length for r in reps] == [0, 1]
+    assert [length for length, _ in reps] == [0, 1]
 
 
 def test_minimal_coset_reps_e6():
@@ -142,20 +147,21 @@ def test_minimal_coset_reps_e6():
     reps = list(minimal_coset_reps(rs, {1, 3, 4, 5, 6}))
     assert len(reps) == 72
     assert weyl_order(rs) // parabolic_order(rs, {1, 3, 4, 5, 6}) == 72
-    assert max(r.element.length for r in reps) == 21
-    # every representative is J-reduced
-    for r in reps:
-        assert not (right_descents(rs, r.element) & r.parabolic)
+    assert max(length for length, _ in reps) == 21
+    for length, action in reps:
+        w = WeylElement(action)
+        assert w.length == length
+        # every representative is J-reduced
+        assert not (right_descents(rs, w) & {1, 3, 4, 5, 6})
     # deterministic stream: sorted by (length, action)
-    keys = [(r.element.length, r.element.action) for r in reps]
-    assert keys == sorted(keys)
+    assert reps == sorted(reps)
 
 
 def test_minimal_coset_reps_e8_quotient():
     rs = _rs("E8")
     reps = list(minimal_coset_reps(rs, {1, 2, 3, 4, 5, 6, 7}))
     assert len(reps) == 240
-    assert max(r.element.length for r in reps) == 57
+    assert max(length for length, _ in reps) == 57
 
 
 def test_full_group_guards():
@@ -186,17 +192,16 @@ def test_quotient_enumeration_guard(monkeypatch, capsys):
         "error: W/W_J has 2903040 cosets, above the enumeration limit of 100000\n"
     )
     # E7 / W_{2..6}: 1512 cosets stays under the limit
-    assert next(iter(minimal_coset_reps(_rs("E7"), {2, 3, 4, 5, 6}))).element.is_identity
+    assert WeylElement(next(minimal_coset_reps(_rs("E7"), {2, 3, 4, 5, 6}))[1]).is_identity
 
 
 def test_coset_length_counts_matches_reps():
     rs = _rs("E6")
     counts = coset_length_counts(rs, {2, 3, 4, 5})
     assert sum(counts.values()) == 270
-    reps = list(minimal_coset_reps(rs, {2, 3, 4, 5}))
     by_len = {}
-    for r in reps:
-        by_len[r.element.length] = by_len.get(r.element.length, 0) + 1
+    for length, _ in minimal_coset_reps(rs, {2, 3, 4, 5}):
+        by_len[length] = by_len.get(length, 0) + 1
     assert counts == by_len
 
 
@@ -219,49 +224,6 @@ def test_longest_element_length(label, levi, expected):
     assert longest_element_length(_rs(label), levi) == expected
 
 
-def _pack(vector):
-    """A root vector as one int, linear in the vector: sum of v_k 2^(16k)."""
-    return sum(c << (16 * k) for k, c in enumerate(vector))
-
-
-@functools.cache
-def _root_chains(rs):
-    """Each non-simple positive root as an earlier root plus a simple root.
-
-    Returns ((index of the earlier root, k) for roots rank.., with the
-    root equal to the earlier one plus a_(k+1)), and the packed signed
-    roots mapped to their signed indices.
-    """
-    roots = rs.positive_roots
-    where = {root: r for r, root in enumerate(roots)}
-    chains = []
-    for root in roots[rs.rank :]:
-        chains.append(next(
-            (where[prev], k)
-            for k in range(rs.rank)
-            if (prev := root[:k] + (root[k] - 1,) + root[k + 1 :]) in where
-        ))
-    lookup = {_pack(root): r for r, root in enumerate(roots)}
-    lookup.update({-_pack(root): ~r for r, root in enumerate(roots)})
-    return chains, lookup
-
-
-def full_action(rs, simple_images):
-    """w's action on every positive root, from its images of the simple roots.
-
-    ``simple_images[k]`` is w(positive_roots[k]) for k < rank, the simple
-    roots.  w is linear: a root b = c + a_j with c an earlier root has
-    w(b) = w(c) + w(a_j), read back as a signed root index.
-    """
-    chains, lookup = _root_chains(rs)
-    roots = rs.positive_roots
-    images = [_pack(roots[s]) if s >= 0 else -_pack(roots[~s]) for s in simple_images]
-    simple = [images[rs.simple_root_index(k + 1)] for k in range(rs.rank)]
-    for prev, k in chains:
-        images.append(images[prev] + simple[k])
-    return tuple(lookup[v] for v in images)
-
-
 def test_double_cosets_partition_and_minimality():
     rs = _rs("E6")
     star = opposition_involution(rs)
@@ -271,7 +233,7 @@ def test_double_cosets_partition_and_minimality():
         w = WeylElement(full_action(rs, c.simple_images))
         assert w.length == c.length
         assert not (right_descents(rs, w) & c.right_nodes)
-        assert not (left_descents(rs, w) & c.left_nodes)
+        assert not (right_descents(rs, w.inverse()) & c.left_nodes)
     tate = sorted(
         c.length for c in cells if c.orbit_size == 1 and c.star_invariant
     )
@@ -338,7 +300,7 @@ def test_simple_images_order_like_full_actions(label):
     # over the whole group, the images of the simple roots tell elements
     # apart and sort them as the full permutations do
     rs = _rs(label)
-    group = [rep.element for rep in minimal_coset_reps(rs, ())]
+    group = _group(rs)
     assert len(group) == weyl_order(rs)
     assert len({w.action[: rs.rank] for w in group}) == len(group)
     by_action = sorted(group, key=lambda w: (w.length, w.action))
@@ -433,13 +395,13 @@ def _kilmoyer_table(rs, right, star):
     """
     simple_in_right = {rs.simple_root_index(j) for j in right}
     table = []
-    for rep in minimal_coset_reps(rs, right):
-        w = rep.element
+    for _, action in minimal_coset_reps(rs, right):
+        w = WeylElement(action)
         w_inv = w.inverse()
         to_simple = frozenset(
             i
             for i in range(1, rs.rank + 1)
-            if w_inv.apply(rs.simple_root_index(i)) in simple_in_right
+            if w_inv.action[rs.simple_root_index(i)] in simple_in_right
         )
         fixed = True
         if star is not None:
@@ -447,7 +409,7 @@ def _kilmoyer_table(rs, right, star):
             for i in reduced_word(rs, w):
                 conj = conj * simple_reflection(rs, star(i))
             fixed = conj == w
-        table.append((w, left_descents(rs, w), to_simple, fixed))
+        table.append((w, right_descents(rs, w_inv), to_simple, fixed))
     return table
 
 
@@ -610,7 +572,7 @@ def test_f4_quotients_match_classical_counts():
     for levi, count, dim in (({1, 2, 3}, 24, 15), ({2, 3, 4}, 24, 15)):
         reps = list(minimal_coset_reps(rs, levi))
         assert len(reps) == count
-        assert max(r.element.length for r in reps) == dim
+        assert max(length for length, _ in reps) == dim
         assert longest_element_length(rs, levi) == dim
 
 
