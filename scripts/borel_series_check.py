@@ -18,13 +18,14 @@ every sigma-stable variety of index <= 2e4 over TWISTED_TYPES, the
 conormed polynomial (the sigma-fixed orbit vectors of the walk) against
 the permutation-side reference of ``tests/test_poincare.py`` (the
 minimal coset reps whose sigma-mapped reduced word multiplies back to
-them).  Fifth, for every pair (I, J) with |W/W_I| <= 2e4 < |W/W_J| over
-TRANSPOSED_TYPES, with the opposition involution as star wherever it
-fixes I and J, the double cosets, which walk the left orbit W.lambda_I,
-against the transposed Kilmoyer reference of ``tests/test_weyl.py``: the
-cells of W_J\\W/W_I with inverted representatives and sizes rescaled by
-|W_I| / |W_J|.  The sweeps take minutes, which is why this is a script
-and not a test.
+them).  Fifth, the third sweep with the bound on I: for every pair
+(I, J) with |W/W_I| <= 2e4 < |W/W_J| over TRANSPOSED_TYPES, with the
+opposition involution as star wherever it fixes I and J, the double
+cosets, which walk the left orbit W.lambda_I, against the transposed
+Kilmoyer reference of ``tests/test_weyl.py``: the cells of W_J\\W/W_I
+with inverted representatives and sizes rescaled by |W_I| / |W_J|.
+The sweeps take minutes, which is why this is a script and not a test;
+``tests/test_scripts.py`` runs them on a tiny catalog.
 
     PYTHONPATH=src python3 scripts/borel_series_check.py
 """
@@ -118,10 +119,18 @@ def check_quotients():
           f"{formula_s:.2f}s, orbit walk {walk_s:.2f}s")
 
 
-def check_double_cosets():
+def check_double_cosets(bounded):
+    """The third sweep, bounded="right" (on J), or the fifth, bounded="left" (on I)."""
+    transposed = bounded == "left"
+    if transposed:
+        types, bound = TRANSPOSED_TYPES, TRANSPOSED_MAX_LEFT_INDEX
+        name, reference, scope = "transposed", "transposed", f"left index <= {bound:,} < right index"
+    else:
+        types, bound = DOUBLE_COSET_TYPES, DOUBLE_COSET_MAX_INDEX
+        name, reference, scope = "double-coset", "Kilmoyer", f"index <= {bound:,}"
     cases = 0
     orbit_s = reference_s = 0.0
-    for label in DOUBLE_COSET_TYPES:
+    for label in types:
         rs = build_root_system(CartanType.from_string(label))
         opp = opposition_involution(rs)
         subsets = [
@@ -129,24 +138,31 @@ def check_double_cosets():
             for k in range(rs.rank + 1)
             for s in itertools.combinations(range(1, rs.rank + 1), k)
         ]
+        index = {s: weyl_order(rs) // parabolic_order(rs, s) for s in subsets}
         checked = 0
-        for right in subsets:
-            if weyl_order(rs) // parabolic_order(rs, right) > DOUBLE_COSET_MAX_INDEX:
+        for inside in subsets:
+            if index[inside] > bound:
                 continue
             stars = [None]
-            if not opp.is_identity and opp.stabilizes(right):
+            if not opp.is_identity and opp.stabilizes(inside):
                 stars.append(opp)
             for star in stars:
                 t0 = time.perf_counter()
-                table = _kilmoyer_table(rs, right, star)
+                table = _kilmoyer_table(rs, inside, star)
                 reference_s += time.perf_counter() - t0
-                for left in subsets:
-                    if star is not None and not star.stabilizes(left):
+                for other in subsets:
+                    if transposed and index[other] <= bound:
                         continue
+                    if star is not None and not star.stabilizes(other):
+                        continue
+                    left, right = (inside, other) if transposed else (other, inside)
                     t0 = time.perf_counter()
                     cells = double_cosets(rs, left, right, star)
                     t1 = time.perf_counter()
-                    expected = _kilmoyer_cells(rs, table, left)
+                    if transposed:
+                        expected = _transposed_cells(rs, table, left, right)
+                    else:
+                        expected = _kilmoyer_cells(rs, table, left)
                     t2 = time.perf_counter()
                     orbit_s += t1 - t0
                     reference_s += t2 - t1
@@ -158,13 +174,13 @@ def check_double_cosets():
                     if got != expected:
                         raise AssertionError(
                             f"{label} I={sorted(left)} J={sorted(right)} "
-                            f"star={star is not None}: orbit route != Kilmoyer reference"
+                            f"star={star is not None}: orbit route != {reference} reference"
                         )
                     checked += 1
-        print(f"{label:3}  {checked:4} double-coset cases ok")
+        print(f"{label:3}  {checked:4} {name} cases ok")
         cases += checked
-    print(f"{cases} double-coset cases of index <= {DOUBLE_COSET_MAX_INDEX:,}: orbit "
-          f"route {orbit_s:.2f}s, Kilmoyer reference {reference_s:.2f}s")
+    print(f"{cases} double-coset cases of {scope}: orbit route {orbit_s:.2f}s, "
+          f"{reference} reference {reference_s:.2f}s")
 
 
 def check_conormed():
@@ -191,64 +207,12 @@ def check_conormed():
           f"route {orbit_s:.2f}s, permutation reference {reference_s:.2f}s")
 
 
-def check_transposed():
-    cases = 0
-    orbit_s = reference_s = 0.0
-    for label in TRANSPOSED_TYPES:
-        rs = build_root_system(CartanType.from_string(label))
-        opp = opposition_involution(rs)
-        subsets = [
-            frozenset(s)
-            for k in range(rs.rank + 1)
-            for s in itertools.combinations(range(1, rs.rank + 1), k)
-        ]
-        index = {s: weyl_order(rs) // parabolic_order(rs, s) for s in subsets}
-        checked = 0
-        for left in subsets:
-            if index[left] > TRANSPOSED_MAX_LEFT_INDEX:
-                continue
-            stars = [None]
-            if not opp.is_identity and opp.stabilizes(left):
-                stars.append(opp)
-            for star in stars:
-                t0 = time.perf_counter()
-                table = _kilmoyer_table(rs, left, star)
-                reference_s += time.perf_counter() - t0
-                for right in subsets:
-                    if index[right] <= TRANSPOSED_MAX_LEFT_INDEX:
-                        continue
-                    if star is not None and not star.stabilizes(right):
-                        continue
-                    t0 = time.perf_counter()
-                    cells = double_cosets(rs, left, right, star)
-                    t1 = time.perf_counter()
-                    expected = _transposed_cells(rs, table, left, right)
-                    t2 = time.perf_counter()
-                    orbit_s += t1 - t0
-                    reference_s += t2 - t1
-                    got = [
-                        (c.length, full_action(rs, c.simple_images), c.orbit_size,
-                         c.star_invariant)
-                        for c in cells
-                    ]
-                    if got != expected:
-                        raise AssertionError(
-                            f"{label} I={sorted(left)} J={sorted(right)} "
-                            f"star={star is not None}: orbit route != transposed reference"
-                        )
-                    checked += 1
-        print(f"{label:3}  {checked:4} transposed cases ok")
-        cases += checked
-    print(f"{cases} double-coset cases of left index <= {TRANSPOSED_MAX_LEFT_INDEX:,} < "
-          f"right index: orbit route {orbit_s:.2f}s, transposed reference {reference_s:.2f}s")
-
-
 def main():
     check_groups()
     check_quotients()
-    check_double_cosets()
+    check_double_cosets("right")
     check_conormed()
-    check_transposed()
+    check_double_cosets("left")
 
 
 if __name__ == "__main__":

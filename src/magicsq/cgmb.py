@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from . import weyl
+from . import rootsys, weyl
 from ._record import record
 from .polyring import IntPoly
-from .rootsys import DiagramAut, RootSystem
 
 KIND_TATE = "tate"
 KIND_UPPER = "upper"
@@ -73,10 +72,10 @@ def check_decomposition(d: Decomposition) -> tuple[bool, IntPoly]:
 
 
 def tate_skeleton(
-    rs: RootSystem,
+    rs: rootsys.RootSystem,
     kernel: Iterable[int],
     target: Iterable[int],
-    star: DiagramAut | None = None,
+    star: rootsys.DiagramAut | None = None,
 ) -> list[int]:
     """Shifts of the Tate summands: lengths of the singleton, star-fixed cells."""
     cells = weyl.double_cosets(rs, kernel, target, star)

@@ -543,8 +543,7 @@ def _cmd_cgmb(args, fixtures_doc) -> int:
         kernel = _nodes(args.kernel)
         variety = rs.check_nodes(_nodes(args.variety))
         target = rs.node_set() - variety
-        opposition = args.star == "opposition"
-        star = (rootsys.opposition_involution if opposition else rootsys.identity_aut)(rs)
+        star = rootsys.opposition_involution(rs) if args.star == "opposition" else None
         shifts = cgmb.tate_skeleton(rs, kernel, target, star)
         _emit_json(
             {

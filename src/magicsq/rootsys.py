@@ -63,6 +63,9 @@ _POSITIVE_ROOTS = {
     "G": lambda n: 6,
 }
 
+# The series of each lacing, in the order sub_diagram_type tries them.
+_SERIES_BY_LACING = {1: "ADE", 2: "BCF", 3: "G"}
+
 # Root systems with more positive roots are refused before construction,
 # which costs about rank times the number of positive roots in time and
 # memory: A60 (1,830 roots) takes about 0.06 s and the largest type
@@ -331,12 +334,15 @@ def opposition_involution(rs: RootSystem) -> DiagramAut:
 def sub_diagram_type(rs: RootSystem, nodes: Iterable[int]) -> list[CartanType]:
     """Connected components of the induced sub-diagram, classified by type.
 
-    Components are reported in order of their smallest node.  The rank-2
-    double-edge component is labeled B2 (B2 and C2 coincide).
+    Components are reported in order of their smallest node.  A component
+    is typed by its rank, its lacing (the largest a_pq * a_qp over its
+    edges) and the number of positive roots of its Cartan submatrix,
+    trying A, D, E, then B, C, F, then G: a path of three nodes is A3, and
+    the rank-2 double-edge component is B2 (B2 and C2 coincide).  Those
+    three leave only B_k against C_k for k >= 3, and B_k has the short
+    end of its double edge at a leaf.
     """
     ns = sorted(rs.check_nodes(nodes))
-    if not ns:
-        return []
     a = rs.cartan
     adj = {
         p: [q for q in ns if q != p and a[p - 1][q - 1] != 0] for p in ns
@@ -348,87 +354,23 @@ def sub_diagram_type(rs: RootSystem, nodes: Iterable[int]) -> list[CartanType]:
             continue
         comp = [start]
         seen.add(start)
-        stack = [start]
-        while stack:
-            p = stack.pop()
+        for p in comp:  # the loop also walks the nodes appended to comp
             for q in adj[p]:
                 if q not in seen:
                     seen.add(q)
                     comp.append(q)
-                    stack.append(q)
-        out.append(_classify_component(a, sorted(comp), adj))
-    return out
-
-
-def _classify_component(a, comp, adj) -> CartanType:
-    k = len(comp)
-    if k == 1:
-        return CartanType("A", 1)
-    mult = {}
-    for p in comp:
-        for q in adj[p]:
-            if p < q:
-                mult[(p, q)] = a[p - 1][q - 1] * a[q - 1][p - 1]
-    if any(m == 3 for m in mult.values()):
-        if k != 2:
-            raise ValueError("triple edge in a component of rank > 2")
-        return CartanType("G", 2)
-    doubles = [e for e, m in mult.items() if m == 2]
-    if not doubles:
-        degs = {p: len(adj[p]) for p in comp}
-        branch = [p for p in comp if degs[p] == 3]
-        if not branch:
-            return CartanType("A", k)
-        if len(branch) > 1 or max(degs.values()) > 3:
-            raise ValueError("component is not of finite type")
-        c = branch[0]
-        sizes = sorted(
-            (_branch_size(c, q, adj) for q in adj[c]), reverse=True
+        sub = [[a[p - 1][q - 1] for q in comp] for p in comp]
+        k = len(comp)
+        lacing = max((sub[i][j] * sub[j][i] for j in range(k) for i in range(j)), default=1)
+        roots = len(_close_positive_roots(sub)[0])
+        series = next(
+            s for s in _SERIES_BY_LACING[lacing]
+            if _SERIES_RANKS[s](k) and _POSITIVE_ROOTS[s](k) == roots
         )
-        if sizes[1] == 1:
-            return CartanType("D", k)
-        if sizes[1] == 2 and sizes[2] == 1 and sizes[0] in (2, 3, 4):
-            return CartanType("E", k)
-        raise ValueError("component is not of finite type")
-    if len(doubles) > 1:
-        raise ValueError("component is not of finite type")
-    p, q = doubles[0]
-    # cartan[i][j] = -2 puts the short root in column j
-    short = q if a[p - 1][q - 1] == -2 else p
-    long_ = p if short == q else q
-    if k == 2:
-        return CartanType("B", 2)
-    short_side = _side_size(short, long_, adj)
-    long_side = k - short_side
-    if short_side == 1:
-        return CartanType("B", k)
-    if long_side == 1:
-        return CartanType("C", k)
-    if k == 4 and short_side == 2:
-        return CartanType("F", 4)
-    raise ValueError("component is not of finite type")
-
-
-def _branch_size(center, first, adj) -> int:
-    count = 0
-    prev, cur = center, first
-    while True:
-        count += 1
-        nxt = [q for q in adj[cur] if q != prev]
-        if not nxt:
-            return count
-        if len(nxt) > 1:
-            raise ValueError("component is not of finite type")
-        prev, cur = cur, nxt[0]
-
-
-def _side_size(start, blocked, adj) -> int:
-    seen = {start}
-    stack = [start]
-    while stack:
-        p = stack.pop()
-        for q in adj[p]:
-            if q != blocked and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen)
+        if series == "B" and k > 2:
+            # cartan[i][j] = -2 puts the short root in column j
+            short = next(j for row in sub for j, x in enumerate(row) if x == -2)
+            if len(adj[comp[short]]) > 1:
+                series = "C"
+        out.append(CartanType(series, k))
+    return out

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import pathlib
 import runpy
 
@@ -25,6 +26,7 @@ from magicsq.rootsys import (
     identity_aut,
     opposition_involution,
 )
+from magicsq.weyl import parabolic_order, weyl_order
 
 ONE_PLUS_T3 = IntPoly([1, 0, 0, 1])
 TWO = IntPoly([2])
@@ -71,6 +73,19 @@ def test_tate_skeleton_trivial_kernel():
     rs = build_root_system(CartanType("A", 2))
     shifts = tate_skeleton(rs, (), {1}, identity_aut(rs))
     assert shifts == [0, 1, 2]
+
+
+def test_tate_skeleton_reads_no_star_as_the_identity():
+    # the pairs whose smaller quotient has at most 100 cosets: all 4,096
+    # pairs would walk 1.3e7 orbit vectors, minutes of tier-1
+    rs = _e6()
+    ident = identity_aut(rs)
+    subsets = [J for k in range(7) for J in itertools.combinations(range(1, 7), k)]
+    index = {J: weyl_order(rs) // parabolic_order(rs, J) for J in subsets}
+    pairs = [(I, J) for I in subsets for J in subsets if min(index[I], index[J]) <= 100]
+    assert len(pairs) == 496
+    for I, J in pairs:
+        assert tate_skeleton(rs, I, J, None) == tate_skeleton(rs, I, J, ident), (I, J)
 
 
 def test_motive_term_contributions():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from magicsq import rootsys
@@ -276,6 +278,41 @@ def test_sub_diagram_rejects_bad_nodes():
         sub_diagram_type(rs, {0, 1})
     with pytest.raises(ValueError):
         sub_diagram_type(rs, {4})
+
+
+@pytest.mark.parametrize("label", [f"{s}{n}" for s in "BC" for n in range(2, 7)] + ["F4", "G2"])
+def test_sub_diagram_type_of_a_path_interval_has_its_cartan_matrix(label):
+    # degrees cannot tell B_k from C_k, the Cartan matrix can: the
+    # component's submatrix read along the path, one way or the other
+    rs = build_root_system(CartanType.from_string(label))
+    for lo in range(1, rs.rank + 1):
+        for hi in range(lo, rs.rank + 1):
+            nodes = range(lo, hi + 1)
+            (ct,) = sub_diagram_type(rs, nodes)
+            sub = tuple(tuple(rs.cartan[p - 1][q - 1] for q in nodes) for p in nodes)
+            flipped = tuple(row[::-1] for row in sub[::-1])
+            assert cartan_matrix(ct) in (sub, flipped), (label, lo, hi)
+
+
+SUB_DIAGRAM_CATALOG = [
+    f"{s}{n}" for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 9)
+] + ["E6", "E7", "E8", "F4", "G2"]
+
+
+@pytest.mark.parametrize("label", SUB_DIAGRAM_CATALOG)
+def test_sub_diagram_components_add_up_to_the_subset(label):
+    # the components of J partition J, and their positive roots are the
+    # ambient positive roots supported on J
+    rs = build_root_system(CartanType.from_string(label))
+    for k in range(rs.rank + 1):
+        for J in itertools.combinations(range(1, rs.rank + 1), k):
+            types = sub_diagram_type(rs, J)
+            outside = [i - 1 for i in rs.node_set() - set(J)]
+            supported = sum(not any(v[i] for i in outside) for v in rs.positive_roots)
+            assert sum(ct.rank for ct in types) == k, (label, J)
+            assert sum(
+                rootsys._POSITIVE_ROOTS[ct.series](ct.rank) for ct in types
+            ) == supported, (label, J)
 
 
 def test_json_serialization():

@@ -1,9 +1,10 @@
-"""Every script under ``scripts/`` still imports.
+"""Every script under ``scripts/`` still imports, and the sweeps run.
 
 The scripts import from the package and from the tests' references, and
 their sweeps take minutes, so a moved or renamed name would otherwise
 show only when one is run.  Importing a script runs its top level, not
-``main``.
+``main``; the sweeps of ``borel_series_check.py`` also run here, on a
+catalog small enough for tier-1.
 """
 
 import importlib.util
@@ -12,13 +13,42 @@ import sys
 
 import pytest
 
-SCRIPTS = sorted((pathlib.Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+SCRIPTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+SCRIPTS = sorted(SCRIPTS_DIR.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
-def test_script_imports_without_running(path, monkeypatch):
+def _load(path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # a script may extend it
     spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_script_imports_without_running(path, monkeypatch):
+    assert callable(_load(path, monkeypatch).main)
+
+
+def test_borel_series_sweeps_on_a_tiny_catalog(monkeypatch, capsys):
+    script = _load(SCRIPTS_DIR / "borel_series_check.py", monkeypatch)
+    for name, value in (
+        ("QUOTIENT_TYPES", ["A3", "B3"]), ("QUOTIENT_MAX_INDEX", 20),
+        ("DOUBLE_COSET_TYPES", ["A3", "B3"]), ("DOUBLE_COSET_MAX_INDEX", 20),
+        ("TRANSPOSED_TYPES", ["D4"]), ("TRANSPOSED_MAX_LEFT_INDEX", 20),
+    ):
+        monkeypatch.setattr(script, name, value)
+    script.check_quotients()
+    script.check_double_cosets("right")
+    script.check_double_cosets("left")
+    # the timings follow the colon
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "A3     7 quotients ok",
+        "B3     4 quotients ok",
+        "11 quotients of index <= 20",
+        "A3     68 double-coset cases ok",
+        "B3     32 double-coset cases ok",
+        "100 double-coset cases of index <= 20",
+        "D4     48 transposed cases ok",
+        "48 double-coset cases of left index <= 20 < right index",
+    ]

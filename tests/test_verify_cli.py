@@ -361,6 +361,7 @@ def test_layers_import_no_heavy_stdlib():
     (["tables", "magic"], ("_data", "_record", "magictables")),
     (["qform", "af-e7", "--q", "split", "--o", "definite", "--gamma=-,+,+"],
      ("_record", "qform")),
+    (["cgmb", "blocks"], ("_record", "cgmb", "polyring")),
 ])
 def test_cli_command_executes_only_its_layers(argv, executed):
     out = _probe(
