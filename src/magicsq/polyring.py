@@ -18,6 +18,8 @@ that must stay separate:
 and, after stripping a common power of t, a positive constant term.
 Under that restriction the Z[t] quotient is the only candidate quotient,
 so the semiring decision reduces to one exact division plus a sign scan.
+It answers "no" without dividing when p has a negative coefficient: a
+product q*r of polynomials with nonnegative coefficients has none.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class IntPoly:
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, int):
+            if c.__class__ is not int and not isinstance(c, int):
                 raise TypeError(f"integer coefficient expected, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
@@ -234,18 +236,20 @@ def _try_exact_div(p: IntPoly, q: IntPoly) -> IntPoly | None:
     is the integer one, so every leading-coefficient division must come
     out exact; any failure proves indivisibility.
     """
-    if q.is_zero:
+    qc = q._coeffs
+    if not qc:
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero:
+    rem = list(p._coeffs)
+    if not rem:
         return IntPoly()
-    dp, dq = p.degree, q.degree
-    if dp < dq:
+    dq = len(qc) - 1
+    n = len(rem) - dq  # number of quotient coefficients
+    if n < 1:
         return None
-    rem = list(p.coeffs)
-    qc = q.coeffs
     lead = qc[-1]
-    out = [0] * (dp - dq + 1)
-    for k in range(dp - dq, -1, -1):
+    low = qc[:-1]
+    out = [0] * n
+    for k in range(n - 1, -1, -1):
         c = rem[k + dq]
         if c == 0:
             continue
@@ -253,9 +257,10 @@ def _try_exact_div(p: IntPoly, q: IntPoly) -> IntPoly | None:
             return None
         f = c // lead
         out[k] = f
-        for i, qi in enumerate(qc):
-            rem[k + i] -= f * qi
-    if any(rem):
+        # lead * f cancels rem[k + dq] exactly; only q's lower terms move
+        for i, qi in enumerate(low, k):
+            rem[i] -= f * qi
+    if any(rem[:dq]):
         return None
     return IntPoly(out)
 
@@ -298,22 +303,26 @@ def divides_semiring(p: IntPoly, q: IntPoly) -> tuple[bool, IntPoly | None]:
     The divisor must have nonnegative coefficients and, after stripping
     a common power of t, a positive constant term.  Under that
     precondition the Z[t] quotient is the unique candidate, so the
-    decision is: exact division, then a nonnegativity scan.
+    decision is: exact division, then a nonnegativity scan.  A p with a
+    negative coefficient is refused first, since q*r has none.
     """
-    if q.is_zero:
+    qc, pc = q._coeffs, p._coeffs
+    if not qc:
         raise ZeroDivisionError("semiring divisor must be nonzero")
-    if any(c < 0 for c in q.coeffs):
+    if min(qc) < 0:
         raise ValueError("semiring divisor must have nonnegative coefficients")
-    if p.is_zero:
+    if not pc:
         return True, IntPoly()
-    v = q.valuation()
-    if v:
+    if min(pc) < 0:
+        return False, None
+    if not qc[0]:
+        v = q.valuation()
         if p.valuation() < v:
             return False, None
         p = p.shift(-v)
         q = q.shift(-v)
     quot = _try_exact_div(p, q)
-    if quot is None or any(c < 0 for c in quot.coeffs):
+    if quot is None or min(quot._coeffs) < 0:
         return False, None
     return True, quot
 

@@ -326,57 +326,100 @@ _FUZZ_CASES = 10_000
 _FUZZ_SEED = 20260808
 
 
-def _randint(rng):
-    """rng.randint, drawing the same numbers straight from rng.getrandbits.
+def _fuzz_cases(bits):
+    """Each fuzz case's style and the coefficients of q and of r (styles 0, 1) or p.
 
-    ``randint(a, b)`` is a plus the first ``getrandbits(k)`` below n, where
-    n = b - a + 1 and k = n.bit_length() (CPython 3.10 to 3.13); calling
-    getrandbits directly skips randint's chain of method calls.
+    ``bits`` is ``Random.getrandbits``; the draws are the ones
+    ``Random.randint`` makes.  ``randint(a, b)`` is a plus the first
+    ``getrandbits(k)`` below n, where n = b - a + 1 and k = n.bit_length()
+    (CPython 3.10 to 3.13).  Every range here has k = 3 (n = 4, 6, 7) or
+    k = 4 (n = 9, 10), and the rejection loops run inline.
     """
-    bits = rng.getrandbits
-
-    def randint(a: int, b: int) -> int:
-        n = b - a + 1
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return a + r
-
-    return randint
-
-
-def _fuzz_cases(randint):
-    """Each fuzz case's style and the coefficients of q and of r (styles 0, 1) or p."""
     for case in range(_FUZZ_CASES):
-        q = [randint(1, 4)] + [randint(0, 3) for _ in range(randint(0, 5))]
+        while (c := bits(3)) >= 4:  # randint(1, 4)
+            pass
+        q = [1 + c]
+        while (size := bits(3)) >= 6:  # randint(0, 5) more terms
+            pass
+        for _ in range(size):
+            while (c := bits(3)) >= 4:  # randint(0, 3)
+                pass
+            q.append(c)
         style = case % 4
-        if style == 0:
-            other = [randint(0, 3) for _ in range(randint(1, 6))]
-        elif style == 1:
-            other = [randint(-3, 3) for _ in range(randint(1, 6))]
+        other = []
+        if style < 2:
+            while (size := bits(3)) >= 6:  # randint(1, 6) terms
+                pass
+            # randint(0, 3) in style 0, randint(-3, 3) in style 1
+            n, low = (4, 0) if style == 0 else (7, -3)
+            for _ in range(size + 1):
+                while (c := bits(3)) >= n:
+                    pass
+                other.append(low + c)
         else:
-            other = [randint(-4, 4) for _ in range(randint(0, 9))]
+            while (size := bits(4)) >= 10:  # randint(0, 9) terms
+                pass
+            for _ in range(size):
+                while (c := bits(4)) >= 9:  # randint(-4, 4)
+                    pass
+                other.append(c - 4)
         yield style, q, other
+
+
+def _bottom_up_quotient(p: tuple, q: tuple) -> tuple | None:
+    """Coefficients of p/q in Z[t] by division from the constant term, or None.
+
+    ``p`` and ``q`` are canonical coefficient tuples with q[0] != 0.  The
+    quotient's coefficients come out lowest first,
+    r_k = (p_k - sum_{i>=1} q_i r_{k-i}) / q_0 for k up to deg p - deg q,
+    and there is a quotient only if every division is exact and q*r also
+    matches p's higher coefficients.  ``polyring`` divides from the top,
+    so this route checks its verdicts without sharing its code.
+    """
+    if not p:
+        return ()
+    n = len(p) - len(q) + 1  # number of quotient coefficients
+    if n < 1:
+        return None
+    q0, high = q[0], q[1:]
+    rem = list(p)
+    r = [0] * n
+    for k in range(n):
+        c = rem[k]
+        if c:
+            if c % q0:
+                return None
+            c //= q0
+            r[k] = c
+            for i, qi in enumerate(high, k + 1):
+                rem[i] -= c * qi
+    if any(rem[n:]):
+        return None
+    return tuple(r)
 
 
 def _semiring_fuzz() -> dict:
     import random  # only this check draws random cases
 
     violations = 0
-    for style, q_coeffs, other in _fuzz_cases(_randint(random.Random(_FUZZ_SEED))):
+    for style, q_coeffs, other in _fuzz_cases(random.Random(_FUZZ_SEED).getrandbits):
         q = IntPoly(q_coeffs)
-        p = q * IntPoly(other) if style < 2 else IntPoly(other)
+        if style < 2:
+            r = IntPoly(other)
+            p = q * r
+            quot = r.coeffs  # p = q*r by construction
+        else:
+            p = IntPoly(other)
+            quot = _bottom_up_quotient(p.coeffs, q.coeffs)
         semi, semi_quot = divides_semiring(p, q)
         ring, ring_quot = divides_ring(p, q)
-        if semi:
-            if not ring or semi_quot != ring_quot or q * semi_quot != p:
-                violations += 1
-            if any(c < 0 for c in semi_quot.coeffs):
-                violations += 1
-        if style == 0 and not semi:
+        # each verdict must be "yes" exactly when the independent quotient
+        # allows it, and a "yes" must return that quotient
+        if ring != (quot is not None) or (ring and ring_quot.coeffs != quot):
             violations += 1
-        if style in (0, 1) and not ring:
+        if semi != (quot is not None and min(quot, default=0) >= 0) or (
+            semi and semi_quot.coeffs != quot
+        ):
             violations += 1
     return {"cases": _FUZZ_CASES, "violations": violations}
 

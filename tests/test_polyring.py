@@ -19,6 +19,7 @@ from magicsq.polyring import (
     parse_poly,
     to_json_dict,
 )
+from magicsq.verify import _bottom_up_quotient
 
 from _reference import from_json_dict
 
@@ -207,6 +208,10 @@ nonneg_polys = st.lists(st.integers(0, 5), min_size=1, max_size=8).map(IntPoly)
 semiring_divisors = st.tuples(
     st.integers(1, 5), st.lists(st.integers(0, 5), max_size=5)
 ).map(lambda t: IntPoly([t[0], *t[1]]))
+# any sign, nonzero constant term: the divisors the bottom-up route accepts
+unit_term_divisors = st.tuples(
+    st.integers(-5, 5).filter(bool), st.lists(st.integers(-5, 5), max_size=5)
+).map(lambda t: IntPoly([t[0], *t[1]]))
 
 
 @given(polys, polys, polys)
@@ -231,6 +236,25 @@ def test_semiring_implies_ring(p, q):
         ring, ring_quot = divides_ring(p, q)
         assert ring and ring_quot == semi_quot
         assert q * semi_quot == p
+
+
+@given(polys, unit_term_divisors)
+def test_bottom_up_route_matches_divides_ring(p, q):
+    # verify's fuzz checks divides_ring against this route; the two divide
+    # from opposite ends and must agree on verdict and quotient
+    quot = _bottom_up_quotient(p.coeffs, q.coeffs)
+    assert divides_ring(p, q) == ((False, None) if quot is None else (True, IntPoly(quot)))
+
+
+@given(polys, semiring_divisors)
+def test_semiring_is_ring_with_a_nonnegative_quotient(p, q):
+    # p with a negative coefficient takes divides_semiring's early "no";
+    # its bottom-up quotient must then have a negative coefficient too
+    quot = _bottom_up_quotient(p.coeffs, q.coeffs)
+    if quot is not None and min(quot, default=0) >= 0:
+        assert divides_semiring(p, q) == (True, IntPoly(quot))
+    else:
+        assert divides_semiring(p, q) == (False, None)
 
 
 @given(polys, semiring_divisors)

@@ -41,13 +41,53 @@ def test_run_verify_filter():
     assert report.all_pass
 
 
+def _randint_fuzz_cases(randint):
+    # the fuzz's cases as first written, one Random.randint call per draw
+    for case in range(verify._FUZZ_CASES):
+        q = [randint(1, 4)] + [randint(0, 3) for _ in range(randint(0, 5))]
+        style = case % 4
+        if style == 0:
+            other = [randint(0, 3) for _ in range(randint(1, 6))]
+        elif style == 1:
+            other = [randint(-3, 3) for _ in range(randint(1, 6))]
+        else:
+            other = [randint(-4, 4) for _ in range(randint(0, 9))]
+        yield style, q, other
+
+
 def test_semiring_fuzz_draws_the_cases_randint_draws():
     # the fuzz reads getrandbits directly; on this interpreter its 10,000
     # cases must be the ones random.Random.randint draws from the same seed
-    want = list(verify._fuzz_cases(random.Random(verify._FUZZ_SEED).randint))
-    got = list(verify._fuzz_cases(verify._randint(random.Random(verify._FUZZ_SEED))))
+    want = list(_randint_fuzz_cases(random.Random(verify._FUZZ_SEED).randint))
+    got = list(verify._fuzz_cases(random.Random(verify._FUZZ_SEED).getrandbits))
     assert len(got) == verify._FUZZ_CASES
     assert got == want
+
+
+def _drop_yes(divides, coefficient):
+    # a faulty divisibility test: "no" whenever the true quotient has the
+    # given coefficient
+    def faulty(p, q):
+        ok, quot = divides(p, q)
+        if ok and coefficient in quot.coeffs:
+            return False, None
+        return ok, quot
+
+    return faulty
+
+
+def test_semiring_fuzz_catches_a_wrong_ring_no(monkeypatch):
+    # random p (styles 2, 3) with a quotient holding -4: the semiring side
+    # rightly says no, so only the independent quotient exposes the ring's "no"
+    monkeypatch.setattr(verify, "divides_ring", _drop_yes(verify.divides_ring, -4))
+    assert verify._semiring_fuzz() == {"cases": verify._FUZZ_CASES, "violations": 100}
+
+
+def test_semiring_fuzz_catches_a_wrong_semiring_no(monkeypatch):
+    # style 0's known quotients stay below 4, so only the converse leg
+    # (ring "yes" with a nonnegative quotient forces a semiring "yes") sees it
+    monkeypatch.setattr(verify, "divides_semiring", _drop_yes(verify.divides_semiring, 4))
+    assert verify._semiring_fuzz() == {"cases": verify._FUZZ_CASES, "violations": 13}
 
 
 def test_run_verify_unknown_filter_lists_names():
