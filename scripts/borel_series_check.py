@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Cross-check the closed-form length generating functions against walks.
 
+The references are the permutation side of ``tests/_reference.py``,
+which enumerates signed-root permutations breadth-first and shares no
+code with the orbit walk; the script imports nothing else from the
+tests, so it runs without pytest and hypothesis.
+
 First, for every supported type, the length generating function of W by
 coset-chain enumeration against the fundamental-degree product; this
 covers E8 without materializing the group.  Second, for every parabolic
@@ -9,23 +14,21 @@ closed form ``quotient_poly`` against the orbit walk
 ``coset_length_counts``, coefficient by coefficient.  Third, for every
 pair (I, J) of index |W/W_J| <= 2e4 over DOUBLE_COSET_TYPES, with the
 opposition involution as star wherever it fixes I and J, the double
-cosets of the weight-orbit route ``double_cosets`` against the
-permutation-side Kilmoyer reference of ``tests/test_weyl.py``, cell by
-cell: minimal representative (rebuilt from the cell's images of the
-simple roots by ``full_action`` of ``tests/_reference.py``), size and
-star invariance.  Fourth, for
-every sigma-stable variety of index <= 2e4 over TWISTED_TYPES, the
-conormed polynomial (the sigma-fixed orbit vectors of the walk) against
-the permutation-side reference of ``tests/test_poincare.py`` (the
-minimal coset reps whose sigma-mapped reduced word multiplies back to
-them).  Fifth, the third sweep with the bound on I: for every pair
-(I, J) with |W/W_I| <= 2e4 < |W/W_J| over TRANSPOSED_TYPES, with the
-opposition involution as star wherever it fixes I and J, the double
-cosets, which walk the left orbit W.lambda_I, against the transposed
-Kilmoyer reference of ``tests/test_weyl.py``: the cells of W_J\\W/W_I
-with inverted representatives and sizes rescaled by |W_I| / |W_J|.
-The sweeps take minutes, which is why this is a script and not a test;
-``tests/test_scripts.py`` runs them on a tiny catalog.
+cosets of the weight-orbit route ``double_cosets`` against the Kilmoyer
+reference, cell by cell: minimal representative (rebuilt from the
+cell's images of the simple roots by ``full_action``), size and star
+invariance.  Fourth, for every sigma-stable variety of index <= 2e4
+over TWISTED_TYPES, the conormed polynomial (the sigma-fixed orbit
+vectors of the walk) against the sigma-fixed reference (the minimal
+coset reps whose sigma-mapped reduced word multiplies back to them).
+Fifth, the third sweep with the bound on I: for every pair (I, J) with
+|W/W_I| <= 2e4 < |W/W_J| over TRANSPOSED_TYPES, with the opposition
+involution as star wherever it fixes I and J, the double cosets, which
+walk the left orbit W.lambda_I, against the transposed Kilmoyer
+reference: the cells of W_J\\W/W_I with inverted representatives and
+sizes rescaled by |W_I| / |W_J|.  The sweeps take minutes, which is why
+this is a script and not a test; ``tests/test_scripts.py`` runs them on
+a tiny catalog.
 
     PYTHONPATH=src python3 scripts/borel_series_check.py
 """
@@ -73,9 +76,15 @@ TRANSPOSED_TYPES = ["D6", "E6", "E7"]
 TRANSPOSED_MAX_LEFT_INDEX = 20_000
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-from _reference import chain_length_polynomial, full_action  # noqa: E402
-from test_poincare import sigma_fixed_reference, sigma_stable_varieties  # noqa: E402
-from test_weyl import _kilmoyer_cells, _kilmoyer_table, _transposed_cells  # noqa: E402
+from _reference import (  # noqa: E402
+    _kilmoyer_cells,
+    _kilmoyer_table,
+    _transposed_cells,
+    chain_length_polynomial,
+    full_action,
+    sigma_fixed_reference,
+    sigma_stable_varieties,
+)
 
 
 def check_groups():

@@ -48,13 +48,14 @@ class IntPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
+        cs = tuple(coeffs)
         for c in cs:
             if c.__class__ is not int and not isinstance(c, int):
                 raise TypeError(f"integer coefficient expected, got {c!r}")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        n = len(cs)
+        while n and cs[n - 1] == 0:
+            n -= 1
+        self._coeffs = cs[:n]
 
     @classmethod
     def zero(cls) -> "IntPoly":

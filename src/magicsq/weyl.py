@@ -31,9 +31,6 @@ the orbit vectors whose coordinates sigma maps back to themselves: the
 sigma-fixed minimal coset reps, whose lengths count the cells of the
 quasi-split flag variety.
 
-Only ``minimal_coset_reps`` builds whole permutations, breadth-first from
-the identity keeping J-reduced elements (``_coset_bfs``); nothing in the
-package calls it, and the permutation reference enumerates through it.
 Every enumeration of a quotient, the full group included, checks the
 index |W|/|W_J| at call time (``_check_index``) and refuses one beyond
 its limit; ``double_cosets`` refuses only when both |W/W_I| and |W/W_J|
@@ -66,8 +63,6 @@ class DoubleCosetCell:
 
     length: int
     simple_images: tuple[int, ...]
-    left_nodes: frozenset[int]
-    right_nodes: frozenset[int]
     orbit_size: int
     star_invariant: bool
 
@@ -138,39 +133,6 @@ def quotient_poly(rs: RootSystem, parabolic: Iterable[int]) -> IntPoly:
     )
 
 
-def _coset_bfs(
-    rs: RootSystem,
-    generator_nodes: Sequence[int],
-    reduced_nodes: frozenset[int],
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (length, action) for minimal reps, breadth-first, sorted per level.
-
-    Generators are left-multiplied; an element stays iff it has no right
-    descent inside reduced_nodes.  Every minimal representative of length
-    l+1 arises from one of length l this way, so levels are complete.
-    """
-    tables = [rs.signed_reflection_tables[i - 1] for i in generator_nodes]
-    reduced = _picker([rs.simple_root_index(j) for j in sorted(reduced_nodes)])
-    ident = tuple(range(rs.num_positive))
-    seen = {ident}
-    level = [ident]
-    length = 0
-    while level:
-        for act in level:
-            yield length, act
-        nxt = set()
-        for act in level:
-            for tab in tables:
-                u = _compose(tab, act)
-                if u in seen or u in nxt:
-                    continue
-                if min(reduced(u), default=0) >= 0:
-                    nxt.add(u)
-        seen.update(nxt)
-        level = sorted(nxt)
-        length += 1
-
-
 def _index(rs: RootSystem, J: frozenset[int]) -> int:
     return weyl_order(rs) // parabolic_order(rs, J)
 
@@ -187,16 +149,18 @@ def _check_index(index: int, limit: int) -> int:
 def minimal_coset_reps(
     rs: RootSystem, parabolic: Iterable[int]
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Stream (length, action) for the minimal representatives of W / W_parabolic.
+    """(length, simple_images) for each minimal representative of W / W_parabolic.
 
-    The action is the signed permutation of the positive roots.
-    Deterministic order: by (length, action).  A quotient with more than
-    _ENUMERATION_LIMIT cosets is refused, the full group (empty
-    parabolic) included, at call time rather than at first consumption.
+    Read off ``double_cosets`` with I empty, where each orbit vector of
+    W.lambda_J is its own cell; that orbit is the one walked, since
+    |W| >= |W/W_J|.  Deterministic order: by (length, simple_images),
+    which is the (length, action) order of the representatives as
+    permutations (see ``double_cosets``).  All of it runs at call time,
+    so a quotient with more than _ENUMERATION_LIMIT cosets is refused,
+    the full group (empty parabolic) included, before an iterator is
+    returned.
     """
-    J = rs.check_nodes(parabolic)
-    _check_index(_index(rs, J), _ENUMERATION_LIMIT)
-    return _coset_bfs(rs, range(1, rs.rank + 1), J)
+    return iter([(c.length, c.simple_images) for c in double_cosets(rs, (), parabolic)])
 
 
 class _Packing(dict):
@@ -446,9 +410,7 @@ def double_cosets(
     ))
     out = [
         # positional: keyword arguments take record's slower binding path
-        DoubleCosetCell(
-            length, images, I, J, size(kept(mu)), permute is None or permute(mu) == mu
-        )
+        DoubleCosetCell(length, images, size(kept(mu)), permute is None or permute(mu) == mu)
         # reps differ on the simple roots, so the sort never compares mu
         for length, images, mu in sorted(dominant)
     ]

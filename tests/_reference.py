@@ -4,19 +4,39 @@ magicsq names a Weyl group element w only by l(w) and its images of the
 simple roots.  Here an element is its whole action on the signed root
 set (see rootsys for the encoding: nonnegative index = positive root,
 bitwise complement = its negative), with the length, descents, products
-and reduced words read off that action.  The Kilmoyer, transposed and
-sigma-fixed references in the tests, the chain polynomial and
-``scripts/borel_series_check.py`` build on it.  Also here: the golden-file
-forms of a root system and a polynomial, which only the tests read.
+and reduced words read off that action.  The minimal coset reps of a
+quotient come from a breadth-first search over these permutations
+(``_coset_bfs``), which shares nothing with the package's orbit walk.
+The chain polynomial, the Kilmoyer and transposed double-coset
+references and the sigma-fixed conormed reference build on it; the
+tests and ``scripts/borel_series_check.py`` compare the package against
+them.  This module imports only magicsq, so the script runs without the
+test extras.  Also here: the golden-file forms of a root system and a
+polynomial, which only the tests read.
 """
 
 import functools
+import itertools
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 
 from magicsq._record import record
+from magicsq.poincare import FlagVariety
 from magicsq.polyring import IntPoly
-from magicsq.rootsys import RootSystem, signed_table
-from magicsq.weyl import _compose, _coset_bfs, length_counts_to_poly
+from magicsq.rootsys import (
+    CartanType,
+    RootSystem,
+    build_root_system,
+    signed_table,
+    twist_aut,
+)
+from magicsq.weyl import (
+    _compose,
+    _picker,
+    length_counts_to_poly,
+    parabolic_order,
+    weyl_order,
+)
 
 
 @record
@@ -82,6 +102,49 @@ def reduced_word(rs: RootSystem, w: WeylElement) -> list[int]:
     return word
 
 
+def _coset_bfs(
+    rs: RootSystem,
+    generator_nodes: Sequence[int],
+    reduced_nodes: frozenset[int],
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (length, action) for minimal reps, breadth-first, sorted per level.
+
+    Generators are left-multiplied; an element stays iff it has no right
+    descent inside reduced_nodes.  Every minimal representative of length
+    l+1 arises from one of length l this way, so levels are complete.
+    """
+    tables = [rs.signed_reflection_tables[i - 1] for i in generator_nodes]
+    reduced = _picker([rs.simple_root_index(j) for j in sorted(reduced_nodes)])
+    ident = tuple(range(rs.num_positive))
+    seen = {ident}
+    level = [ident]
+    length = 0
+    while level:
+        for act in level:
+            yield length, act
+        nxt = set()
+        for act in level:
+            for tab in tables:
+                u = _compose(tab, act)
+                if u in seen or u in nxt:
+                    continue
+                if min(reduced(u), default=0) >= 0:
+                    nxt.add(u)
+        seen.update(nxt)
+        level = sorted(nxt)
+        length += 1
+
+
+def coset_actions(
+    rs: RootSystem, parabolic: Iterable[int]
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(length, action) for the minimal reps of W/W_parabolic, in that order.
+
+    No index limit: the callers keep to small quotients.
+    """
+    return _coset_bfs(rs, range(1, rs.rank + 1), frozenset(parabolic))
+
+
 def chain_length_polynomial(rs: RootSystem) -> IntPoly:
     """Length generating function of W, by a parabolic chain of quotients.
 
@@ -141,6 +204,101 @@ def full_action(rs, simple_images):
     for prev, k in chains:
         images.append(images[prev] + simple[k])
     return tuple(lookup[v] for v in images)
+
+
+def _kilmoyer_table(rs, right, star):
+    """Per minimal coset rep w of W/W_right, what the reference needs.
+
+    Built on the permutation side alone: w's left descents; the nodes i
+    with w^-1(a_i) a simple root of J; and whether conjugating by the
+    star, i.e. multiplying out the star-mapped reduced word, gives w back.
+    """
+    simple_in_right = {rs.simple_root_index(j) for j in right}
+    table = []
+    for _, action in coset_actions(rs, right):
+        w = WeylElement(action)
+        w_inv = w.inverse()
+        to_simple = frozenset(
+            i
+            for i in range(1, rs.rank + 1)
+            if w_inv.action[rs.simple_root_index(i)] in simple_in_right
+        )
+        fixed = True
+        if star is not None:
+            conj = identity(rs)
+            for i in reduced_word(rs, w):
+                conj = conj * simple_reflection(rs, star(i))
+            fixed = conj == w
+        table.append((w, right_descents(rs, w_inv), to_simple, fixed))
+    return table
+
+
+def _kilmoyer_cells(rs, table, left):
+    """Double cosets W_I\\W/W_J, sorted like double_cosets.
+
+    The minimal double coset reps are the w in W^J with no left descent
+    in I.  By Kilmoyer's theorem W_I meets w W_J w^-1 in W_K, with
+    K = {i in I : w^-1(a_i) is a simple root of J}, so the cell holds
+    |W_I| / |W_K| cosets.  The star maps w to a minimal rep again, so the
+    cell is fixed iff the star fixes w.
+    """
+    left_order = parabolic_order(rs, left)
+    return sorted(
+        (w.length, w.action, left_order // parabolic_order(rs, to_simple & left), fixed)
+        for w, descents, to_simple, fixed in table
+        if not descents & left
+    )
+
+
+def _transposed_cells(rs, table, left, right):
+    """W_I\\W/W_J from the Kilmoyer cells of W_J\\W/W_I (table over W/W_I).
+
+    Inversion maps the cells of W_J\\W/W_I onto those of W_I\\W/W_J and
+    keeps minimal representatives, lengths and star invariance; a cell of
+    |W_J| / |W_K| cosets of W_I there holds |W_I| / |W_K| cosets of W_J.
+    """
+    left_order, right_order = parabolic_order(rs, left), parabolic_order(rs, right)
+    return sorted(
+        (length, WeylElement(action).inverse().action, size * left_order // right_order, fixed)
+        for length, action, size, fixed in _kilmoyer_cells(rs, table, right)
+    )
+
+
+def sigma_stable_varieties(label, max_index):
+    """Every sigma-stable circled set of label whose quotient is small enough."""
+    ctype = CartanType.from_string(label)
+    rs = build_root_system(ctype)
+    sigma = twist_aut(rs)
+    for k in range(1, rs.rank + 1):
+        for circled in itertools.combinations(range(1, rs.rank + 1), k):
+            fv = FlagVariety(ctype, frozenset(circled))
+            if (
+                sigma.stabilizes(circled)
+                and weyl_order(rs) // parabolic_order(rs, fv.levi_nodes) <= max_index
+            ):
+                yield fv
+
+
+def sigma_fixed_reference(fv):
+    """Conormed polynomial on the permutation side alone.
+
+    Counts by length the minimal coset reps w of W/W_Levi whose
+    sigma-mapped reduced word multiplies back to w.
+    """
+    rs = build_root_system(fv.ambient)
+    sigma = twist_aut(rs)
+    sigma_tables = [
+        rs.simple_reflection_tables[sigma(i) - 1] for i in range(1, rs.rank + 1)
+    ]
+    counts = {}
+    for _, action in coset_actions(rs, fv.levi_nodes):
+        w = WeylElement(action)
+        conj = tuple(range(rs.num_positive))
+        for i in reduced_word(rs, w):
+            conj = tuple(conj[x] if x >= 0 else ~conj[~x] for x in sigma_tables[i - 1])
+        if conj == w.action:
+            counts[w.length] = counts.get(w.length, 0) + 1
+    return length_counts_to_poly(counts)
 
 
 def root_system_to_json(rs: RootSystem) -> dict:

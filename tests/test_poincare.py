@@ -22,13 +22,12 @@ from magicsq.weyl import (
     coset_length_counts,
     fundamental_degrees,
     length_counts_to_poly,
-    minimal_coset_reps,
     parabolic_order,
     quotient_poly,
     weyl_order,
 )
 
-from _reference import WeylElement, reduced_word
+from _reference import sigma_fixed_reference, sigma_stable_varieties
 
 P_X2_SPLIT = (1, 1, 1, 2, 3, 3, 4, 5, 5, 5, 6, 6, 5, 5, 5, 4, 3, 3, 2, 1, 1, 1)
 P_X16_SPLIT = (
@@ -190,42 +189,6 @@ def test_conormed_unsupported_instances():
 
 TWISTED_TYPES = ["2A2", "2A3", "2A4", "2A5", "2D4", "2D5", "2E6"]
 TWISTED_MAX_INDEX = 6_000
-
-
-def sigma_stable_varieties(label, max_index):
-    """Every sigma-stable circled set of label whose quotient is small enough."""
-    rs = build_root_system(CartanType.from_string(label))
-    sigma = twist_aut(rs)
-    for k in range(1, rs.rank + 1):
-        for circled in itertools.combinations(range(1, rs.rank + 1), k):
-            fv = _fv(label, circled)
-            if (
-                sigma.stabilizes(circled)
-                and weyl_order(rs) // parabolic_order(rs, fv.levi_nodes) <= max_index
-            ):
-                yield fv
-
-
-def sigma_fixed_reference(fv):
-    """Conormed polynomial on the permutation side alone.
-
-    Counts by length the minimal coset reps w of W/W_Levi whose
-    sigma-mapped reduced word multiplies back to w.
-    """
-    rs = build_root_system(fv.ambient)
-    sigma = twist_aut(rs)
-    sigma_tables = [
-        rs.simple_reflection_tables[sigma(i) - 1] for i in range(1, rs.rank + 1)
-    ]
-    counts = {}
-    for _, action in minimal_coset_reps(rs, fv.levi_nodes):
-        w = WeylElement(action)
-        conj = tuple(range(rs.num_positive))
-        for i in reduced_word(rs, w):
-            conj = tuple(conj[x] if x >= 0 else ~conj[~x] for x in sigma_tables[i - 1])
-        if conj == w.action:
-            counts[w.length] = counts.get(w.length, 0) + 1
-    return length_counts_to_poly(counts)
 
 
 def test_conormed_matches_permutation_reference():

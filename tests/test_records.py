@@ -36,17 +36,9 @@ RECORDS = [
     (WeylElement, ((-2, 1),), ("action",), "WeylElement(action=(-2, 1))"),
     (
         DoubleCosetCell,
-        (1, (-2, 1), frozenset({1}), frozenset({2}), 3, True),
-        (
-            "length",
-            "simple_images",
-            "left_nodes",
-            "right_nodes",
-            "orbit_size",
-            "star_invariant",
-        ),
-        "DoubleCosetCell(length=1, simple_images=(-2, 1), left_nodes=frozenset({1}), "
-        "right_nodes=frozenset({2}), orbit_size=3, star_invariant=True)",
+        (1, (-2, 1), 3, True),
+        ("length", "simple_images", "orbit_size", "star_invariant"),
+        "DoubleCosetCell(length=1, simple_images=(-2, 1), orbit_size=3, star_invariant=True)",
     ),
     (
         FlagVariety,

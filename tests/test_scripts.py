@@ -9,6 +9,7 @@ catalog small enough for tier-1.
 
 import importlib.util
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -28,6 +29,21 @@ def _load(path, monkeypatch):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
 def test_script_imports_without_running(path, monkeypatch):
     assert callable(_load(path, monkeypatch).main)
+
+
+def test_borel_series_check_loads_without_test_extras():
+    # the script imports the tests' reference module, never a test module,
+    # so it runs where pytest and hypothesis are not installed
+    path = str(SCRIPTS_DIR / "borel_series_check.py")
+    code = (
+        "import runpy, sys\n"
+        "sys.modules['pytest'] = sys.modules['hypothesis'] = None\n"
+        f"assert callable(runpy.run_path({path!r})['main'])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_borel_series_sweeps_on_a_tiny_catalog(monkeypatch, capsys):

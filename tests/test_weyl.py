@@ -26,7 +26,11 @@ from magicsq.weyl import (
 
 from _reference import (
     WeylElement,
+    _kilmoyer_cells,
+    _kilmoyer_table,
+    _transposed_cells,
     chain_length_polynomial,
+    coset_actions,
     full_action,
     identity,
     reduced_word,
@@ -104,7 +108,7 @@ def test_identity_and_simple_reflections():
 
 def _group(rs):
     """W as reference elements, in (length, action) order."""
-    return [WeylElement(action) for _, action in minimal_coset_reps(rs, ())]
+    return [WeylElement(action) for _, action in coset_actions(rs, ())]
 
 
 def test_length_changes_by_one_under_simple_multiplication():
@@ -139,7 +143,8 @@ def test_descent_bookkeeping():
 def test_minimal_coset_reps_trivial_parabolic():
     rs = _rs("A1")
     reps = list(minimal_coset_reps(rs, ()))
-    assert [length for length, _ in reps] == [0, 1]
+    # the identity fixes the simple root, s_1 negates it
+    assert reps == [(0, (0,)), (1, (~0,))]
 
 
 def test_minimal_coset_reps_e6():
@@ -148,12 +153,12 @@ def test_minimal_coset_reps_e6():
     assert len(reps) == 72
     assert weyl_order(rs) // parabolic_order(rs, {1, 3, 4, 5, 6}) == 72
     assert max(length for length, _ in reps) == 21
-    for length, action in reps:
-        w = WeylElement(action)
+    for length, images in reps:
+        w = WeylElement(full_action(rs, images))
         assert w.length == length
         # every representative is J-reduced
         assert not (right_descents(rs, w) & {1, 3, 4, 5, 6})
-    # deterministic stream: sorted by (length, action)
+    # deterministic stream: sorted by (length, simple_images)
     assert reps == sorted(reps)
 
 
@@ -164,26 +169,31 @@ def test_minimal_coset_reps_e8_quotient():
     assert max(length for length, _ in reps) == 57
 
 
-def test_full_group_guards():
-    # guards are eager: no consumption needed to trip them
-    with pytest.raises(ValueError):
-        minimal_coset_reps(_rs("E8"), ())
-    with pytest.raises(ValueError):
-        minimal_coset_reps(_rs("E7"), ())  # above the enumeration limit
+def _no_walk(*args):
+    raise AssertionError("orbit walk started before the index guard")
+
+
+def test_full_group_guards(monkeypatch):
+    # guards are eager: they trip at call time, before any walk starts
+    monkeypatch.setattr(weyl, "_Packing", _no_walk)
+    for label, parabolic, count in (
+        ("E8", (), 696729600),
+        ("E7", (), 2903040),  # above the enumeration limit
+        ("E8", {1}, 348364800),
+    ):
+        with pytest.raises(
+            ValueError,
+            match=f"^W/W_J has {count} cosets, above the enumeration limit of 100000$",
+        ):
+            minimal_coset_reps(_rs(label), parabolic)
     with pytest.raises(ValueError):
         minimal_coset_reps(_rs("A3"), {5})  # bad node set fails eagerly
 
 
 def test_quotient_enumeration_guard(monkeypatch, capsys):
-    # the index is checked at call time, before any permutation is built
-    with pytest.raises(ValueError, match="348364800 cosets"):
-        minimal_coset_reps(_rs("E8"), {1})
-
-    def no_walk(*args):
-        raise AssertionError("orbit walk started before the index guard")
-
-    monkeypatch.setattr(weyl, "_orbit_levels", no_walk)
-    monkeypatch.setattr(weyl, "_Packing", no_walk)
+    # the index is checked at call time, before any orbit vector is built
+    monkeypatch.setattr(weyl, "_orbit_levels", _no_walk)
+    monkeypatch.setattr(weyl, "_Packing", _no_walk)
     with pytest.raises(ValueError, match="348364800 cosets"):
         double_cosets(_rs("E8"), {1}, {1})
     # the full group gets the same guard, which the CLI reports as is
@@ -191,8 +201,33 @@ def test_quotient_enumeration_guard(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: W/W_J has 2903040 cosets, above the enumeration limit of 100000\n"
     )
+    monkeypatch.undo()
     # E7 / W_{2..6}: 1512 cosets stays under the limit
-    assert WeylElement(next(minimal_coset_reps(_rs("E7"), {2, 3, 4, 5, 6}))[1]).is_identity
+    assert next(minimal_coset_reps(_rs("E7"), {2, 3, 4, 5, 6})) == (0, tuple(range(7)))
+
+
+# every J of these types with index <= 1,000: 71 quotients, 8,473 cosets
+REFERENCE_BFS_TYPES = ("A3", "B3", "C3", "D4", "F4", "G2", "E6")
+
+
+def test_minimal_coset_reps_match_reference_bfs():
+    # the walk's reps against the permutation BFS: lengths, order, and the
+    # whole action rebuilt from the images of the simple roots
+    quotients = cosets = 0
+    for label in REFERENCE_BFS_TYPES:
+        rs = _rs(label)
+        for k in range(rs.rank + 1):
+            for J in itertools.combinations(range(1, rs.rank + 1), k):
+                if weyl._index(rs, J) > 1000:
+                    continue
+                got = [
+                    (length, full_action(rs, images))
+                    for length, images in minimal_coset_reps(rs, J)
+                ]
+                assert got == list(coset_actions(rs, J)), (label, J)
+                quotients += 1
+                cosets += len(got)
+    assert (quotients, cosets) == (71, 8473)
 
 
 def test_coset_length_counts_matches_reps():
@@ -227,13 +262,14 @@ def test_longest_element_length(label, levi, expected):
 def test_double_cosets_partition_and_minimality():
     rs = _rs("E6")
     star = opposition_involution(rs)
-    cells = double_cosets(rs, {3, 4, 5}, {1, 3, 4, 5, 6}, star)
+    left, right = {3, 4, 5}, {1, 3, 4, 5, 6}
+    cells = double_cosets(rs, left, right, star)
     assert sum(c.orbit_size for c in cells) == 72
     for c in cells:
         w = WeylElement(full_action(rs, c.simple_images))
         assert w.length == c.length
-        assert not (right_descents(rs, w) & c.right_nodes)
-        assert not (right_descents(rs, w.inverse()) & c.left_nodes)
+        assert not (right_descents(rs, w) & right)
+        assert not (right_descents(rs, w.inverse()) & left)
     tate = sorted(
         c.length for c in cells if c.orbit_size == 1 and c.star_invariant
     )
@@ -386,50 +422,6 @@ def test_double_coset_partition_property(label, left, right):
     assert lengths[0] == 0  # the identity double coset
 
 
-def _kilmoyer_table(rs, right, star):
-    """Per minimal coset rep w of W/W_right, what the reference needs.
-
-    Built on the permutation side alone: w's left descents; the nodes i
-    with w^-1(a_i) a simple root of J; and whether conjugating by the
-    star, i.e. multiplying out the star-mapped reduced word, gives w back.
-    """
-    simple_in_right = {rs.simple_root_index(j) for j in right}
-    table = []
-    for _, action in minimal_coset_reps(rs, right):
-        w = WeylElement(action)
-        w_inv = w.inverse()
-        to_simple = frozenset(
-            i
-            for i in range(1, rs.rank + 1)
-            if w_inv.action[rs.simple_root_index(i)] in simple_in_right
-        )
-        fixed = True
-        if star is not None:
-            conj = identity(rs)
-            for i in reduced_word(rs, w):
-                conj = conj * simple_reflection(rs, star(i))
-            fixed = conj == w
-        table.append((w, right_descents(rs, w_inv), to_simple, fixed))
-    return table
-
-
-def _kilmoyer_cells(rs, table, left):
-    """Double cosets W_I\\W/W_J, sorted like double_cosets.
-
-    The minimal double coset reps are the w in W^J with no left descent
-    in I.  By Kilmoyer's theorem W_I meets w W_J w^-1 in W_K, with
-    K = {i in I : w^-1(a_i) is a simple root of J}, so the cell holds
-    |W_I| / |W_K| cosets.  The star maps w to a minimal rep again, so the
-    cell is fixed iff the star fixes w.
-    """
-    left_order = parabolic_order(rs, left)
-    return sorted(
-        (w.length, w.action, left_order // parabolic_order(rs, to_simple & left), fixed)
-        for w, descents, to_simple, fixed in table
-        if not descents & left
-    )
-
-
 def _kilmoyer_catalog(max_index=200):
     cases = []
     for label in ("A3", "B3", "C3", "D4", "G2", "F4"):
@@ -488,20 +480,6 @@ def test_double_cosets_match_kilmoyer_reference():
         ]
         expected = _kilmoyer_cells(rs, tables[label, right, star_name], left)
         assert got == expected, (label, sorted(left), sorted(right), star_name)
-
-
-def _transposed_cells(rs, table, left, right):
-    """W_I\\W/W_J from the Kilmoyer cells of W_J\\W/W_I (table over W/W_I).
-
-    Inversion maps the cells of W_J\\W/W_I onto those of W_I\\W/W_J and
-    keeps minimal representatives, lengths and star invariance; a cell of
-    |W_J| / |W_K| cosets of W_I there holds |W_I| / |W_K| cosets of W_J.
-    """
-    left_order, right_order = parabolic_order(rs, left), parabolic_order(rs, right)
-    return sorted(
-        (length, WeylElement(action).inverse().action, size * left_order // right_order, fixed)
-        for length, action, size, fixed in _kilmoyer_cells(rs, table, right)
-    )
 
 
 # left kernels of small index against right sets whose quotient is above
