@@ -32,7 +32,9 @@ Every command prints json; ``verify`` also prints text (its default) and
 the full ``tables magic`` listing also prints csv.  Any other ``--format``
 is a usage error.  JSON is written by ``_emit_json``, byte for byte as
 ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, without importing
-json: a command that reads no data file never loads it.
+json, and the built-in tables and fixtures are Python literals
+(``_data``): no built-in command loads json.  Only ``--fixtures PATH``
+reads a JSON document.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 120 stdout
 closed by its reader or not writable (a full disk).  JSON output is

@@ -13,7 +13,7 @@ import time
 from . import cgmb, jinv, magictables, poincare, qform, weyl
 from ._data import fixtures as _fixture_doc
 from ._record import record
-from .polyring import IntPoly, divides_ring, divides_semiring
+from .polyring import MAX_DEGREE, IntPoly, divides_ring, divides_semiring
 from .rootsys import CartanType, build_root_system, opposition_involution
 
 
@@ -103,8 +103,8 @@ def load_fixture_doc(path: str) -> dict:
     """Read and validate an alternative fixtures document.
 
     Every failure, from an unreadable file to a fixture lacking a key its
-    kind needs or a term entry without integer shifts, raises ValueError
-    with a one-line message.
+    kind needs, a value of the wrong type, a repeated name or a term shift
+    outside 0..MAX_DEGREE, raises ValueError with a one-line message.
     """
     import json  # only an alternative fixtures document needs it here
 
@@ -120,33 +120,57 @@ def load_fixture_doc(path: str) -> dict:
     fixtures = doc.get("fixtures")
     if not isinstance(fixtures, list):
         raise ValueError(f"fixtures {path} has no 'fixtures' list")
+    names: set[str] = set()
     for k, f in enumerate(fixtures):
         if not isinstance(f, dict):
             raise ValueError(f"fixture #{k} in {path} is not an object")
         label = f"fixture {f.get('name', f'#{k}')!r} in {path}"
-        need = ("name", "kind", "total") + _FIXTURE_KEYS.get(f.get("kind"), ())
+        kind = f.get("kind")
+        if "kind" in f and not (isinstance(kind, str) and kind in _FIXTURE_KEYS):
+            raise ValueError(f"{label}: kind must be one of {', '.join(_FIXTURE_KEYS)}")
+        need = ("name", "kind", "total") + _FIXTURE_KEYS.get(kind, ())
         missing = [key for key in need if key not in f]
         if missing:
             raise ValueError(f"{label} lacks {', '.join(missing)}")
+        if not isinstance(f["name"], str):
+            raise ValueError(f"{label}: name must be a string")
+        if f["name"] in names:
+            raise ValueError(f"{label}: another fixture has the same name")
+        names.add(f["name"])
         total = f["total"]
         if not (
             isinstance(total, dict)
             and isinstance(total.get("poincare"), dict)
-            and {"type", "variety"} <= total["poincare"].keys()
+            and isinstance(total["poincare"].get("type"), str)
+            and _is_int_list(total["poincare"].get("variety"))
         ):
-            raise ValueError(f"{label}: total must be {{'poincare': {{type, variety}}}}")
+            raise ValueError(
+                f"{label}: total must be {{'poincare': {{type, variety}}}} with a string "
+                "type and a list of integer nodes"
+            )
+        if kind == "residual-expressible" and not (
+            isinstance(f["blocks"], list)
+            and all(_is_int_list(b) for b in f["blocks"])
+            and type(f["min_shift"]) is int
+        ):
+            raise ValueError(
+                f"{label}: blocks must be a list of integer coefficient lists and "
+                "min_shift an integer"
+            )
         for key in ("terms", "subtract"):  # the term lists _expand_terms reads
             entries = f.get(key, [])
             if not isinstance(entries, list) or not all(
                 isinstance(e, dict)
                 and isinstance(e.get("kind"), str)
                 and _is_int_list(e.get("shifts"))
+                and all(0 <= s <= MAX_DEGREE for s in e["shifts"])
                 and _is_int_list(e.get("coeffs", []))
                 for e in entries
             ):
                 raise ValueError(
                     f"{label}: every {key} entry needs a string kind, a list of "
-                    "integer shifts and optionally a list of integer coeffs"
+                    f"integer shifts in 0..{MAX_DEGREE} and optionally a list of "
+                    "integer coeffs"
                 )
     return doc
 

@@ -1,9 +1,11 @@
 import ast
 import contextlib
+import copy
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -11,9 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import magicsq
-from magicsq import verify
+from magicsq import _data, jinv, verify
 from magicsq.cli import _emit_json, main
-from magicsq.polyring import parse_poly
+from magicsq.polyring import MAX_DEGREE, parse_poly
 from magicsq.verify import CheckResult, VerifyReport, fixture_names, run_fixture, run_verify
 
 from _reference import from_json_dict
@@ -381,8 +383,9 @@ def test_layers_import_no_heavy_stdlib():
     # Every command is a new process: no layer may pull in dataclasses/inspect
     # (code generation), fractions/decimal (only the inexact-division error
     # path needs them), random (only the semiring fuzz), fnmatch (only verify
-    # --filter), json (only reading a data file) or argparse (only help and
-    # usage errors).  vars() executes every lazily registered layer first.
+    # --filter), json (only reading a user's --fixtures document) or argparse
+    # (only help and usage errors).  vars() executes every lazily registered
+    # layer first.
     heavy = ("argparse", "dataclasses", "decimal", "fnmatch", "fractions", "inspect", "json",
              "random")
     out = _probe(
@@ -445,14 +448,36 @@ def test_cli_help_and_usage_errors_still_use_argparse(argv, code):
     assert out.startswith("usage: magicsq") == (code == 0)
 
 
-def test_cli_command_with_data_still_reads_it(capsys):
-    argv = ["tables", "magic", "--row", "octonion", "--col", "F4"]
+# runtime_ms is wall time, the one field that differs between two runs
+_RUNTIME = re.compile(r'"runtime_ms": [0-9.e-]+')
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "magic", "--row", "octonion", "--col", "F4"],
+    ["jinv", "poly", "--group", "E7", "--j", "0,1,1,1"],
+    ["cgmb", "check", "--fixture", "henke-y1"],
+    ["--format", "json", "verify", "--filter", "jinv-*"],
+], ids=["tables", "jinv", "cgmb", "verify"])
+def test_cli_command_with_data_never_imports_json(argv, capsys):
+    # the built-in documents are Python literals: no data command parses json
+    out = _probe(
+        f"import sys, magicsq.cli; code = magicsq.cli.main({argv!r}); "
+        "print(code, 'json' in sys.modules)"
+    )
+    expected = run_cli(capsys, *argv)[1] + "0 False\n"
+    assert _RUNTIME.sub("", out) == _RUNTIME.sub("", expected)
+
+
+def test_cli_fixtures_option_still_reads_json(tmp_path, capsys):
+    # a user's --fixtures document is the one JSON file a command reads
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps(_data.FIXTURES))
+    argv = ["--fixtures", str(path), "cgmb", "check", "--fixture", "henke-y1"]
     out = _probe(
         f"import sys, magicsq.cli; code = magicsq.cli.main({argv!r}); "
         "print(code, 'json' in sys.modules)"
     )
     assert out == run_cli(capsys, *argv)[1] + "0 True\n"
-    assert json.loads(out[: -len("0 True\n")])["group"] == "E8"
 
 
 def test_cli_usage_error_exit_code():
@@ -590,6 +615,19 @@ def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
                 "fixtures": [{"name": "x", "kind": "identity", "total": {}, "terms": []}],
             }
         ),
+        "shift-above-the-maximum-degree.json": json.dumps(
+            {
+                "version": 1,
+                "fixtures": [
+                    {
+                        "name": "x",
+                        "kind": "identity",
+                        "total": {"poincare": {"type": "E7", "variety": [1]}},
+                        "terms": [{"kind": "tate", "shifts": [MAX_DEGREE + 1]}],
+                    }
+                ],
+            }
+        ),
         "term-without-shifts.json": json.dumps(
             {
                 "version": 1,
@@ -604,6 +642,23 @@ def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
             }
         ),
     }
+    # a residual-expressible fixture named "x" with one key of the wrong type
+    residual = {
+        "name": "x", "kind": "residual-expressible",
+        "total": {"poincare": {"type": "E6", "variety": [2]}},
+        "subtract": [], "blocks": [[1, 0, 0, 1], [2]], "min_shift": 1,
+    }
+    for key, value in (
+        ("blocks", "x"), ("blocks", [1, 2]), ("min_shift", "z"),
+        ("name", ["a"]),  # "--fixture x" is then unknown, and the names are listed
+        ("kind", ["a"]), ("kind", "other"),
+        ("total", {"poincare": {"type": 5, "variety": [2]}}),
+        ("total", {"poincare": {"type": "E6", "variety": "2"}}),
+    ):
+        bad_docs[f"bad-{key}-{value!r}.json"] = json.dumps(
+            {"version": 1, "fixtures": [dict(residual, **{key: value})]}
+        )
+    bad_docs["same-name-twice.json"] = json.dumps({"version": 1, "fixtures": [residual, residual]})
     paths = [str(tmp_path / "missing.json")]
     for name, text in bad_docs.items():
         (tmp_path / name).write_text(text)
@@ -613,6 +668,36 @@ def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2, path
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, path
+
+
+def test_builtin_documents_are_json_documents(tmp_path):
+    # tuples, sets or non-str keys would print the same but compare differently
+    for doc in (_data.TABLES, _data.FIXTURES):
+        assert json.loads(json.dumps(doc)) == doc
+    # the built-in fixtures meet the rules of a user's --fixtures document
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps(_data.FIXTURES))
+    assert verify.load_fixture_doc(str(path)) == _data.FIXTURES
+
+
+def test_no_command_mutates_the_builtin_documents(capsys):
+    # every in-process caller shares the two documents
+    before = copy.deepcopy((_data.TABLES, _data.FIXTURES))
+    argvs = [
+        ["tables", "magic"], ["--format", "csv", "tables", "magic"],
+        ["tables", "magic", "--row", "octonion", "--col", "F4"],
+        ["tables", "conditions"], ["tables", "conditions", "--group", "2E6"],
+        ["tables", "tits-index"], ["tables", "tits-index", "--rost", "not-pure-symbol"],
+        ["tables", "constructions"], ["jinv", "table"],
+        *(["jinv", "enumerate", "--group", g] for g in jinv.supported_labels()),
+        ["jinv", "poly", "--group", "2E6", "--j", "1,0,0"],
+        *(["cgmb", "check", "--fixture", f] for f in fixture_names()),
+        ["verify"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert (_data.TABLES, _data.FIXTURES) == before
 
 
 def test_cli_weyl_cosets_empty_parabolic(capsys):
