@@ -32,9 +32,9 @@ Every command prints json; ``verify`` also prints text (its default) and
 the full ``tables magic`` listing also prints csv.  Any other ``--format``
 is a usage error.  JSON is written by ``_emit_json``, byte for byte as
 ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, without importing
-json, and the built-in tables and fixtures are Python literals
-(``_data``): no built-in command loads json.  Only ``--fixtures PATH``
-reads a JSON document.
+json.  The pinned tables are records in ``magictables`` and ``jinv``,
+and the built-in fixtures a Python literal (``_data``): no built-in
+command loads json.  Only ``--fixtures PATH`` reads a JSON document.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 120 stdout
 closed by its reader or not writable (a full disk).  JSON output is
@@ -692,9 +692,11 @@ def run() -> None:
     from a write in ``main`` or from the flush; the process then exits 120
     and prints nothing.  Any other OSError from a write or the flush (a
     full disk, ``> /dev/full``) also exits 120, after one line on stderr.
-    An OSError naming a file comes from reading one, not from the output,
-    and keeps its traceback.  ``SystemExit`` (help, usage errors) and any
-    other exception leave through the normal exit.
+    An OSError naming a file is not about the output: it comes from a
+    layer first executed inside ``main`` (``magicsq`` registers them
+    lazily) whose file can no longer be read, and keeps its traceback.
+    ``SystemExit`` (help, usage errors) and any other exception leave
+    through the normal exit.
     """
     try:
         code = main()

@@ -13,8 +13,8 @@ for E7 the chain is 1 >= j2 >= j3 >= j4 >= 0 with j1 in {0, 1}.  The
 remaining labels carry only the box bounds j_i <= k_i: no further chain
 is pinned for them, and enumeration flags them as unconstrained.
 
-The (d, k) table is shipped in the versioned data document; labels A1,
-2A2, C3 and F4 are deliberately absent.
+The (d, k) table is ``_MAX_PROFILES`` below; labels A1, 2A2, C3 and F4
+are deliberately absent.
 """
 
 from __future__ import annotations
@@ -22,11 +22,20 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from ._data import tables
 from ._record import record
 from .polyring import IntPoly
 
 PRIME = 2
+
+# label -> (degrees d_i, caps k_i) of the maximal profile
+_MAX_PROFILES: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {
+    "2x2A2": ((3, 3), (1, 1)),
+    "2A5": ((2, 1, 3, 5), (0, 1, 1, 1)),
+    "1D6": ((1, 1, 3, 5), (1, 3, 1, 1)),
+    "2E6": ((3, 5, 9), (1, 1, 1)),
+    "E7": ((1, 3, 5, 9), (1, 1, 1, 1)),
+    "E8": ((3, 5, 9, 15), (3, 2, 1, 1)),
+}
 
 # positions (0-based) that must form a weakly decreasing chain
 _CHAINS: dict[str, tuple[int, ...]] = {
@@ -47,23 +56,19 @@ def normalize_label(label: str) -> str:
     return _ALIASES.get(s, _ALIASES.get(s.upper(), s))
 
 
-def _table() -> dict[str, dict]:
-    return tables()["jinv_max"]
-
-
 def supported_labels() -> tuple[str, ...]:
-    return tuple(_table().keys())
+    return tuple(_MAX_PROFILES)
 
 
 def _lookup(label: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
     key = normalize_label(label)
-    row = _table().get(key)
+    row = _MAX_PROFILES.get(key)
     if row is None:
         raise ValueError(
             f"no J-invariant data for {label!r}; supported labels: "
             f"{', '.join(supported_labels())}"
         )
-    return key, tuple(row["degrees"]), tuple(row["caps"])
+    return (key, *row)
 
 
 @record

@@ -5,8 +5,9 @@
 code and is what the tests and the benchmark tracer call in-process.
 These tests start real processes where the exit itself is under test: no
 output may be lost at the fast exit, a stdout closed by its reader ends
-the process with 120 and nothing on stderr, and a stdout that cannot be
-written ends it with 120 and one line on stderr.
+the process with 120 and nothing on stderr, a stdout that cannot be
+written ends it with 120 and one line on stderr, and a layer file that
+cannot be read keeps its traceback and exit 1.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import io
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -119,12 +121,36 @@ def test_run_exits_120_on_an_unwritable_stdout(monkeypatch):
 
 
 def test_run_keeps_the_normal_exit(monkeypatch):
-    # argparse's exits, other errors and a file that cannot be read reach finalization
+    # argparse's exits, other errors and a layer file that cannot be read
+    # reach finalization
     exc = _run(monkeypatch, _raise(SystemExit(2)))
     assert isinstance(exc, SystemExit) and exc.code == 2
     assert isinstance(_run(monkeypatch, _raise(KeyError("x"))), KeyError)
-    missing = FileNotFoundError(2, "No such file or directory", "tables.json")
+    layer = str(pathlib.Path(cli.__file__).with_name("poincare.py"))
+    missing = FileNotFoundError(2, "No such file or directory", layer)
     assert _run(monkeypatch, _raise(missing)) is missing
+
+
+def test_unreadable_layer_keeps_its_traceback(tmp_path):
+    # a layer is executed on first use inside main; if its file is gone by
+    # then, the OSError names that file and is not reported as an output error
+    shutil.copytree(pathlib.Path(cli.__file__).parent, tmp_path / "magicsq",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    layer = tmp_path / "magicsq" / "poincare.py"
+    code = (
+        "import os, sys, magicsq.cli\n"
+        f"assert magicsq.cli.__file__.startswith({str(tmp_path)!r})\n"
+        f"os.remove({str(layer)!r})\n"
+        "sys.argv[1:] = ['poincare', '--type', 'E6', '--variety', '2']\n"
+        "magicsq.cli.run()\n"
+    )
+    env = {**_env(), "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"FileNotFoundError: [Errno 2] No such file or directory: {str(layer)!r}")
+    assert "cannot write output" not in proc.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

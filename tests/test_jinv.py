@@ -10,7 +10,10 @@ from magicsq.jinv import (
     supported_labels,
     upper_motive_poly,
 )
-from magicsq.polyring import IntPoly, eval_rational
+from magicsq.poincare import FlagVariety, conormed_poincare
+from magicsq.polyring import IntPoly, divides_semiring, eval_rational
+from magicsq.rootsys import CartanType, build_root_system
+from magicsq.weyl import quotient_poly
 
 MAX_TABLE = {
     "2x2A2": ((3, 3), (1, 1)),
@@ -146,3 +149,36 @@ def test_degree_and_value_identities(label):
             value *= 2**j
         assert p(1) == value
         assert all(c >= 0 for c in p.coeffs)
+
+
+def _non_dividing(borel, label):
+    """Value vectors of the admissible profiles whose upper polynomial does
+    not divide ``borel`` in N0[t]."""
+    return [p.values for p in enumerate_admissible(label)
+            if not divides_semiring(borel, upper_motive_poly(p))[0]]
+
+
+@pytest.mark.parametrize("label, count", [("1D6", 32), ("E7", 8), ("E8", 48)])
+def test_upper_motive_divides_the_borel_polynomial(label, count):
+    # Petrov-Semenov-Zainoulline (Ann. Sci. ENS 41, 2008, Thm 5.13): M(G/B)
+    # is a sum of Tate twists of the upper motive R_2(G), so its polynomial
+    # divides P(G/B) in N0[t]
+    borel = quotient_poly(build_root_system(CartanType.from_string(label)), ())
+    assert len(enumerate_admissible(label)) == count
+    assert _non_dividing(borel, label) == []
+
+
+@pytest.mark.parametrize("label, split_misses", [
+    ("2A5", [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1)]),
+    ("2E6", [(1, 1, 0), (1, 1, 1)]),
+])
+def test_upper_motive_and_the_quasi_split_borel_polynomial(label, split_misses):
+    # An identity observed on this catalog, not a theorem quoted from the
+    # sources: every admissible profile of these outer labels divides the
+    # conormed Borel polynomial (every node circled) in N0[t], while some
+    # miss the split one.  2x2A2 needs the twist of a product type.
+    ctype = CartanType.from_string(label)
+    rs = build_root_system(ctype)
+    conormed = conormed_poincare(FlagVariety(ctype, rs.node_set()))
+    assert _non_dividing(conormed, label) == []
+    assert _non_dividing(quotient_poly(rs, ()), label) == split_misses

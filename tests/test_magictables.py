@@ -3,7 +3,11 @@ import pytest
 from magicsq import jinv
 from magicsq.cgmb import karpenko_blocks
 from magicsq.magictables import (
+    GroupConditionRow,
+    MagicCell,
     RostCondition,
+    TitsConstructionRow,
+    TitsIndexCase,
     condition_rows,
     conditions_for,
     magic_square,
@@ -38,6 +42,52 @@ def test_magic_square_has_16_cells_matching_the_pinned_grids():
             cell = query_magic_square(row_label, col_label)
             assert cell.group_type == PINNED_GROUP_GRID[r][c]
             assert cell.invariant_degree == PINNED_DEGREE_GRID[r][c]
+
+
+@pytest.mark.parametrize("table, rec", [
+    (magic_square, MagicCell),
+    (condition_rows, GroupConditionRow),
+    (tits_index_cases, TitsIndexCase),
+    (tits_construction_rows, TitsConstructionRow),
+], ids=["magic", "conditions", "tits-index", "constructions"])
+def test_table_functions_return_tuples_of_their_records(table, rec):
+    rows = table()
+    assert type(rows) is tuple and rows
+    assert all(type(row) is rec for row in rows)
+    hash(rows)  # every field is immutable: tuples and frozensets, not lists and sets
+
+
+def test_magic_square_labels_are_tuples_of_str():
+    labels = magic_square_labels()
+    assert [type(x) for x in labels] == [tuple, tuple]
+    assert all(type(label) is str for axis in labels for label in axis)
+
+
+# The dimension of each cell's group against Tits's construction
+# T(A, J) = Der A + (A_0 x J_0) + Der J (Tits, Indag. Math. 28, 1966): the row
+# is a composition algebra A, the column the Jordan algebra J = H_3(C) over a
+# composition algebra C; both are named by their dimension 1, 2, 4 or 8.
+ALGEBRA_DIM = {
+    "base": 1, "quadratic_ext": 2, "quaternion": 4, "octonion": 8,
+    "A1": 1, "2A2": 2, "C3": 4, "F4": 8,
+}
+DER_COMPOSITION = {1: 0, 2: 0, 4: 3, 8: 14}  # 0, 0, sp_1, g_2
+DER_JORDAN = {1: 3, 2: 8, 4: 21, 8: 52}  # so_3, sl_3, sp_3, f_4
+# a label CartanType cannot parse yet: A2 x A2, rank 4 and 2 x 3 positive roots
+HAND_DIMENSION = {"2x2A2": 4 + 2 * 6}
+
+
+def test_magic_square_dimensions_match_tits_construction():
+    for cell in magic_square():
+        a, b = ALGEBRA_DIM[cell.row_label], ALGEBRA_DIM[cell.col_label]
+        dim_j = 3 * b + 3
+        tits = DER_COMPOSITION[a] + (a - 1) * (dim_j - 1) + DER_JORDAN[b]
+        if cell.group_type in HAND_DIMENSION:
+            dim = HAND_DIMENSION[cell.group_type]
+        else:
+            rs = build_root_system(CartanType.from_string(cell.group_type))
+            dim = rs.rank + 2 * rs.num_positive
+        assert dim == tits, cell
 
 
 def test_degree_grid_is_max_of_row_and_column_degrees():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import magicsq
-from magicsq import _data, jinv, verify
+from magicsq import _data, verify
 from magicsq.cli import _emit_json, main
 from magicsq.polyring import MAX_DEGREE, parse_poly
 from magicsq.verify import CheckResult, VerifyReport, fixture_names, run_fixture, run_verify
@@ -401,10 +401,11 @@ def test_layers_import_no_heavy_stdlib():
      ("_record", "poincare", "polyring", "rootsys", "weyl")),
     (["weyl", "cosets", "--type", "E6", "--parabolic", "1,3,4,5,6"],
      ("_record", "polyring", "rootsys", "weyl")),
-    (["tables", "magic"], ("_data", "_record", "magictables")),
+    (["tables", "magic"], ("_record", "magictables")),
     (["qform", "af-e7", "--q", "split", "--o", "definite", "--gamma=-,+,+"],
      ("_record", "qform")),
     (["cgmb", "blocks"], ("_record", "cgmb", "polyring")),
+    (["jinv", "enumerate", "--group", "E8"], ("_record", "jinv", "polyring")),
 ])
 def test_cli_command_executes_only_its_layers(argv, executed):
     out = _probe(
@@ -672,8 +673,7 @@ def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
 
 def test_builtin_documents_are_json_documents(tmp_path):
     # tuples, sets or non-str keys would print the same but compare differently
-    for doc in (_data.TABLES, _data.FIXTURES):
-        assert json.loads(json.dumps(doc)) == doc
+    assert json.loads(json.dumps(_data.FIXTURES)) == _data.FIXTURES
     # the built-in fixtures meet the rules of a user's --fixtures document
     path = tmp_path / "fixtures.json"
     path.write_text(json.dumps(_data.FIXTURES))
@@ -681,23 +681,14 @@ def test_builtin_documents_are_json_documents(tmp_path):
 
 
 def test_no_command_mutates_the_builtin_documents(capsys):
-    # every in-process caller shares the two documents
-    before = copy.deepcopy((_data.TABLES, _data.FIXTURES))
-    argvs = [
-        ["tables", "magic"], ["--format", "csv", "tables", "magic"],
-        ["tables", "magic", "--row", "octonion", "--col", "F4"],
-        ["tables", "conditions"], ["tables", "conditions", "--group", "2E6"],
-        ["tables", "tits-index"], ["tables", "tits-index", "--rost", "not-pure-symbol"],
-        ["tables", "constructions"], ["jinv", "table"],
-        *(["jinv", "enumerate", "--group", g] for g in jinv.supported_labels()),
-        ["jinv", "poly", "--group", "2E6", "--j", "1,0,0"],
-        *(["cgmb", "check", "--fixture", f] for f in fixture_names()),
-        ["verify"],
-    ]
+    # every in-process caller shares the fixtures document; the tables are
+    # tuples of frozen records
+    before = copy.deepcopy(_data.FIXTURES)
+    argvs = [*(["cgmb", "check", "--fixture", f] for f in fixture_names()), ["verify"]]
     for argv in argvs:
         assert main(argv) == 0, argv
     capsys.readouterr()
-    assert (_data.TABLES, _data.FIXTURES) == before
+    assert _data.FIXTURES == before
 
 
 def test_cli_weyl_cosets_empty_parabolic(capsys):
