@@ -52,7 +52,11 @@ took a median of 11.6 ms with the normal exit and 1.1 ms with
 ``os._exit`` (30 runs each, shared 2-core x86-64 VM, CPython 3.11.7),
 where the whole command takes about 46 ms.  magicsq registers no atexit
 handler, starts no thread and keeps no file open for writing, so once
-the two streams are flushed finalization has nothing left to do.
+the two streams are flushed finalization has nothing left to do.  Help
+and usage errors, which argparse ends with ``SystemExit``, take the same
+exit with its code: ``magicsq --help`` took a median of 56.7 ms, against
+66.7 ms through finalization (30 interleaved runs each, same VM; faster
+in 27 of 30).
 """
 
 from __future__ import annotations
@@ -695,11 +699,21 @@ def run() -> None:
     An OSError naming a file is not about the output: it comes from a
     layer first executed inside ``main`` (``magicsq`` registers them
     lazily) whose file can no longer be read, and keeps its traceback.
-    ``SystemExit`` (help, usage errors) and any other exception leave
-    through the normal exit.
+    argparse ends help (code 0) and usage errors (code 2) with
+    ``SystemExit``; they end here like a return from ``main``, so the
+    rules above hold for help too while stdout is buffered, the default.
+    Unbuffered (``PYTHONUNBUFFERED``), the write that fails is argparse's
+    own, which drops the OSError, and help exits 0.  Any other exception,
+    and a ``SystemExit`` whose code is not an int, leave through the
+    normal exit.
     """
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            if not isinstance(exc.code, int):
+                raise
+            code = exc.code
         sys.stdout.flush()
         sys.stderr.flush()
     except BrokenPipeError:

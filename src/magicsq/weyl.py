@@ -17,14 +17,19 @@ answers every quotient, E8 included.
 
 ``coset_length_counts`` and ``double_cosets`` walk the W-orbit of the
 weight lambda_J with stabilizer W_J on weight coordinates, breadth-first,
-two levels at a time, each vector packed into one int (``_Packing``) so
-that a reflection is one integer subtraction.  The counts cross-check
-``quotient_poly`` in the tests and in ``verify``.  ``double_cosets`` walks
-whichever of W.lambda_I and W.lambda_J is smaller: a cell of W_I\\W/W_J
-is an orbit vector of W.lambda_J dominant on the left nodes I, or,
-through the inversion w -> w^-1 onto W_J\\W/W_I, an orbit vector of
-W.lambda_I dominant on J.  Each walked vector carries its rep's images of
-the simple roots, on W.lambda_I packed into one int (``_InversePacking``).
+two levels at a time, each vector packed into one int (``_Packing``).
+The packing is linear, so a reflection s_i is one multiply-subtract,
+u - mu_i * row_i with row_i the packed Cartan row of node i.  The count
+walk (``_orbit_levels``) makes each vector once, from its parent across
+its first negative coordinate, so a level is a list with no dedup;
+``double_cosets`` dedups each level in a dict, which measured faster
+there.  The counts cross-check ``quotient_poly`` in the tests and in
+``verify``.  ``double_cosets`` walks whichever of W.lambda_I and
+W.lambda_J is smaller: a cell of W_I\\W/W_J is an orbit vector of
+W.lambda_J dominant on the left nodes I, or, through the inversion
+w -> w^-1 onto W_J\\W/W_I, an orbit vector of W.lambda_I dominant on J.
+Each walked vector carries its rep's images of the simple roots, on
+W.lambda_I packed into one int (``_InversePacking``).
 
 Given a diagram automorphism sigma, ``coset_length_counts`` keeps only
 the orbit vectors whose coordinates sigma maps back to themselves: the
@@ -163,15 +168,16 @@ def minimal_coset_reps(
     return iter([(c.length, c.simple_images) for c in double_cosets(rs, (), parabolic)])
 
 
-class _Packing(dict):
+class _Packing:
     """Weight vectors packed into one int: mu_i + 2^15 in bits 16i..16i+15.
 
-    Reflecting in wall i is then one integer subtraction, and a level is a
-    set of ints: s_i(u) = u - self[i, mu_i], the packed mu_i times the
-    Cartan row of a_i, built on first use.  No field ever carries: an
-    orbit vector of lambda_J has |mu_i| = |<lambda_J, b^v>| for a root b,
-    at most the height of the highest coroot, h - 1 < 2 * rank, and no
-    root system of rank 200 or more is built.
+    The packing is linear, so reflecting in wall i is one multiply-subtract:
+    s_i(u) = u - mu_i * rows[i], where rows[i] is the Cartan row of a_i
+    packed without the bias.  No field ever carries: an orbit vector of
+    lambda_J has |mu_i| = |<lambda_J, b^v>| for a root b, at most the
+    height of the highest coroot, h - 1 for the Coxeter number h.  That is
+    below 2 * rank on A-D and at most 29 (E8) on the exceptional types, and
+    no root system of rank 200 or more is built.
     """
 
     BIAS = 1 << 15
@@ -179,14 +185,9 @@ class _Packing(dict):
     def __init__(self, rs: RootSystem):
         import struct  # here, not at the top: only a walk pays its import
 
-        self.rows = rs.cartan
+        self.rows = [sum(r << (16 * j) for j, r in enumerate(row)) for row in rs.cartan]
         self.nbytes = 2 * rs.rank
         self.unpack = struct.Struct(f"<{rs.rank}H").unpack
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        i, c = key
-        step = self[key] = sum(c * r << (16 * j) for j, r in enumerate(self.rows[i]))
-        return step
 
     def pack(self, mu: Iterable[int]) -> int:
         return sum((m + self.BIAS) << (16 * i) for i, m in enumerate(mu))
@@ -249,24 +250,31 @@ class _InversePacking:
 
 def _orbit_levels(
     rs: RootSystem, J: frozenset[int], packing: _Packing
-) -> Iterator[set[int]]:
+) -> Iterator[list[int]]:
     """Yield the W-orbit of lambda_J (1 off J, 0 on J) level by level.
 
     Coordinates are mu_i = <mu, a_i^v>, and the orbit vectors are the
     images w.lambda_J of the minimal coset reps w of W/W_J.  Crossing
     wall i from the positive side (mu_i > 0) adds exactly one inversion,
     so level l holds the images of the reps of length l, and only two
-    levels live in memory at a time.  Vectors are packed by ``packing``.
+    levels live in memory at a time.  A vector v of the next level has a
+    parent s_i v for every i with v_i < 0; v is made only from the parent
+    across its first such wall, so each vector is made once and a level
+    needs no dedup: v = s_i u is kept iff v_j >= 0 for every j < i, one
+    test of v's sign bits.  Vectors are packed by ``packing``.
     """
-    bias, fields = packing.BIAS, packing.fields
-    level = {packing.pack(0 if (i + 1) in J else 1 for i in range(rs.rank))}
+    bias, fields, rows = packing.BIAS, packing.fields, packing.rows
+    firsts = [packing.sign_mask(range(i)) for i in range(rs.rank)]
+    level = [packing.pack(0 if (i + 1) in J else 1 for i in range(rs.rank))]
     while level:
         yield level
-        nxt = set()
+        nxt = []
         for u in level:
             for i, f in enumerate(fields(u)):
                 if f > bias:
-                    nxt.add(u - packing[i, f - bias])
+                    v = u - (f - bias) * rows[i]
+                    if v & firsts[i] == firsts[i]:
+                        nxt.append(v)
         level = nxt
 
 
@@ -375,7 +383,7 @@ def double_cosets(
     walked_nodes, kept_nodes = (I, J) if swap else (J, I)
 
     packing = _Packing(rs)
-    bias, fields = packing.BIAS, packing.fields
+    bias, fields, rows = packing.BIAS, packing.fields, packing.rows
     kept_pos = [i - 1 for i in sorted(kept_nodes)]
     mask = packing.sign_mask(kept_pos)
     rank = rs.rank
@@ -397,7 +405,7 @@ def double_cosets(
                 dominant.append((length, inverse.images(rep) if swap else rep, mu))
             for i, f in enumerate(mu):
                 if f > bias:
-                    v = u - packing[i, f - bias]
+                    v = u - (f - bias) * rows[i]
                     if v not in nxt:
                         nxt[v] = inverse.reflect(rep, i) if swap else _compose(signed[i], rep)
         level = nxt

@@ -72,8 +72,10 @@ class _Stream(io.StringIO):
     def __init__(self, error=None):
         super().__init__()
         self.error = error
+        self.flushes = 0
 
     def flush(self):
+        self.flushes += 1
         if self.error is not None:
             raise self.error
 
@@ -121,10 +123,13 @@ def test_run_exits_120_on_an_unwritable_stdout(monkeypatch):
 
 
 def test_run_keeps_the_normal_exit(monkeypatch):
-    # argparse's exits, other errors and a layer file that cannot be read
-    # reach finalization
-    exc = _run(monkeypatch, _raise(SystemExit(2)))
-    assert isinstance(exc, SystemExit) and exc.code == 2
+    # argparse's exits (help 0, usage error 2) end like a return from main,
+    # after the flush; a SystemExit without an int code, other errors and
+    # a layer file that cannot be read reach finalization
+    assert _run(monkeypatch, _raise(SystemExit(2))) == 2
+    assert sys.stdout.flushes == sys.stderr.flushes == 1
+    exc = _run(monkeypatch, _raise(SystemExit("bye")))
+    assert isinstance(exc, SystemExit) and exc.code == "bye"
     assert isinstance(_run(monkeypatch, _raise(KeyError("x"))), KeyError)
     layer = str(pathlib.Path(cli.__file__).with_name("poincare.py"))
     missing = FileNotFoundError(2, "No such file or directory", layer)
@@ -153,10 +158,7 @@ def test_unreadable_layer_keeps_its_traceback(tmp_path):
     assert "cannot write output" not in proc.stderr
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [["weyl", "order", "--type", "E6"], E7_ANCHOR],
-                         ids=["weyl-order", "e7-anchor"])
-def test_closed_stdout_exits_120_silently(argv, unbuffered):
+def _into_closed_stdout(argv, unbuffered=False):
     read_end, write_end = os.pipe()
     os.close(read_end)  # no reader, before the child starts
     try:
@@ -164,19 +166,61 @@ def test_closed_stdout_exits_120_silently(argv, unbuffered):
                               stderr=subprocess.PIPE, env=_env(unbuffered))
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (120, b"")
+    return proc.returncode, proc.stderr
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def _into_full_stdout(argv, unbuffered=False):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "magicsq", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=_env(unbuffered))
+    return proc.returncode, proc.stderr
+
+
+_CANNOT_WRITE = b"magicsq: cannot write output: No space left on device\n"
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["weyl", "order", "--type", "E6"], E7_ANCHOR],
+                         ids=["weyl-order", "e7-anchor"])
+def test_closed_stdout_exits_120_silently(argv, unbuffered):
+    assert _into_closed_stdout(argv, unbuffered) == (120, b"")
+
+
+@needs_dev_full
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["weyl", "order", "--type", "E6"], E7_ANCHOR],
                          ids=["weyl-order", "e7-anchor"])
 def test_unwritable_stdout_exits_120_with_one_line(argv, unbuffered):
-    with open("/dev/full", "wb") as full:
-        proc = subprocess.run([sys.executable, "-m", "magicsq", *argv], stdout=full,
-                              stderr=subprocess.PIPE, env=_env(unbuffered))
-    assert (proc.returncode, proc.stderr) == (
-        120, b"magicsq: cannot write output: No space left on device\n")
+    assert _into_full_stdout(argv, unbuffered) == (120, _CANNOT_WRITE)
+
+
+# Help only with stdout buffered: unbuffered, argparse swallows the OSError
+# of its own write, so nothing is left to fail at the flush.
+def test_help_into_a_closed_stdout_exits_120_silently():
+    assert _into_closed_stdout(["--help"]) == (120, b"")
+
+
+@needs_dev_full
+def test_help_into_an_unwritable_stdout_exits_120_with_one_line():
+    assert _into_full_stdout(["--help"]) == (120, _CANNOT_WRITE)
+
+
+def test_help_and_usage_errors_print_what_argparse_prints(monkeypatch, capsys):
+    # the fast exit loses no byte of argparse's output and keeps its codes
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the width; _env copies it
+    proc = _magicsq("--help")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == cli._build_parser(["--help"]).format_help()
+    argv = ["weyl", "order"]
+    proc = _magicsq(*argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == proc.returncode == 2
+    assert proc.stdout == b""
+    err = capsys.readouterr().err
+    assert err.startswith("usage: magicsq weyl order") and "--type" in err
+    assert proc.stderr.decode() == err
 
 
 def test_fast_exit_keeps_the_e7_anchor_output():

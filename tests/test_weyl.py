@@ -245,6 +245,32 @@ def test_coset_length_counts_size_guard():
         coset_length_counts(_rs("E8"), {8})
 
 
+def _borel_orbit(label):
+    """The root system, its packing and the levels of its rho-orbit."""
+    rs = _rs(label)
+    packing = weyl._Packing(rs)
+    return rs, packing, list(weyl._orbit_levels(rs, frozenset(), packing))
+
+
+@pytest.mark.parametrize("label", ["B4", "C4", "F4", "G2", "D5", "A5"])
+def test_orbit_walk_makes_each_vector_once(label):
+    # each vector comes from one parent only, so no level needs a dedup
+    rs, _, levels = _borel_orbit(label)
+    assert all(len(set(level)) == len(level) for level in levels)
+    assert sum(map(len, levels)) == weyl_order(rs)
+
+
+@pytest.mark.parametrize("label,bound", [("G2", 5), ("F4", 11), ("B4", 7), ("D5", 7)])
+def test_packed_fields_reach_the_highest_coroot_height(label, bound):
+    # |mu_i| on the rho-orbit peaks at h - 1, which _Packing's 16-bit
+    # fields must hold; h - 1 >= 2 * rank on G2 and F4
+    rs, packing, levels = _borel_orbit(label)
+    assert bound == max(fundamental_degrees(rs)) - 1
+    assert max(
+        abs(f - packing.BIAS) for level in levels for u in level for f in packing.fields(u)
+    ) == bound
+
+
 @pytest.mark.parametrize(
     "label,levi,expected",
     [
