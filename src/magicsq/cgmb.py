@@ -84,6 +84,17 @@ def tate_skeleton(
     )
 
 
+def check_blocks(blocks: Sequence[IntPoly]) -> None:
+    """The blocks ``express_residual`` takes: at least one, each nonzero, none negative."""
+    if not blocks:
+        raise ValueError("at least one block is required")
+    for b in blocks:
+        if b.is_zero:
+            raise ValueError("blocks must be nonzero")
+        if any(c < 0 for c in b.coeffs):
+            raise ValueError("blocks must have nonnegative coefficients")
+
+
 _MISS = object()
 
 
@@ -100,14 +111,9 @@ def express_residual(
     """
     if any(c < 0 for c in residual.coeffs):
         raise ValueError("residual must have nonnegative coefficients")
-    if not blocks:
-        raise ValueError("at least one block is required")
+    check_blocks(blocks)
     normalized = []
     for b in blocks:
-        if b.is_zero:
-            raise ValueError("blocks must be nonzero")
-        if any(c < 0 for c in b.coeffs):
-            raise ValueError("blocks must have nonnegative coefficients")
         v = b.valuation()
         normalized.append((v, b.shift(-v).coeffs))
     order = sorted(

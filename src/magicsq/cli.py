@@ -17,16 +17,22 @@ Verb-noun grammar, node sets as comma lists in Bourbaki numbering:
     magicsq tables magic | conditions --group 2E6 | tits-index --rost not-pure-symbol
     magicsq verify [--filter 'dims-*']
 
-The grammar is written down once, in ``_COMMANDS``.  Every command is a
-new process, so a well-formed argv, every option named in full, is read
-straight from that table (``_parse``) without importing argparse.
-Anything else (help, an abbreviation, a value starting with ``-`` given
-as a separate word, an error) goes to argparse, built from the same table
-and only for the command it was invoked with (``_build_parser``), so help
-and usage errors read as if every command had been built.  A value that
-starts with ``-`` takes the ``=`` form: ``--gamma=-,+,+``, ``--p=-1+t``.
+The grammar is written down once, in ``_COMMANDS``, which also names
+each command's handler.  Every command is a new process, so a
+well-formed argv, every option named in full, is read straight from
+that table (``_parse``) without importing argparse.  Anything else
+(help, an abbreviation, a value starting with ``-`` given as a separate
+word, an error) goes to argparse, built from the same table and only for
+the command it was invoked with (``_build_parser``), so help and usage
+errors read as if every command had been built.  A value that starts
+with ``-`` takes the ``=`` form: ``--gamma=-,+,+``, ``--p=-1+t``.
 ``--name=--`` is a usage error (argparse reads the ``--`` as the end of
 the options and stores an empty list).
+
+A handler (``_cmd_*``) takes only the parsed arguments, which carry the
+resolved ``--format`` and the loaded ``--fixtures`` document, and returns
+what its command prints, a JSON payload or text, paired with the exit
+code where that can be 1.  ``main`` writes it; no handler writes stdout.
 
 Every command prints json; ``verify`` also prints text (its default) and
 the full ``tables magic`` listing also prints csv.  Any other ``--format``
@@ -242,6 +248,163 @@ def _algebra(kind: str, word: str) -> qform.CompositionAlgebraR:
     return qform.CompositionAlgebraR(kind, word == "definite")
 
 
+def _star(rs: rootsys.RootSystem, args) -> rootsys.DiagramAut | None:
+    """The automorphism ``--star`` names: the opposition involution, or None."""
+    return rootsys.opposition_involution(rs) if args.star == "opposition" else None
+
+
+def _cmd_weyl(args):
+    rs = rootsys.build_root_system(rootsys.CartanType.from_string(args.type))
+    if args.verb == "order":
+        return {"type": args.type, "order": weyl.weyl_order(rs)}
+    if args.verb == "cosets":
+        parabolic = _nodes(args.parabolic)
+        # every coefficient from t^0 to the top is positive, so the table
+        # lists each length up to the degree
+        poly = weyl.quotient_poly(rs, parabolic)
+        return {
+            "type": args.type,
+            "parabolic": sorted(parabolic),
+            "count": poly(1),
+            "max_length": poly.degree,
+            "length_counts": [[l, c] for l, c in enumerate(poly.coeffs)],
+        }
+    left = _nodes(args.left)
+    right = _nodes(args.right)
+    cells = weyl.double_cosets(rs, left, right, _star(rs, args))
+    return {
+        "type": args.type,
+        "left": sorted(left),
+        "right": sorted(right),
+        "star": args.star,
+        "cells": [
+            {
+                "length": c.length,
+                "orbit_size": c.orbit_size,
+                "star_invariant": c.star_invariant,
+            }
+            for c in cells
+        ],
+    }
+
+
+def _cmd_poly(args):
+    if args.verb == "eval-rational":
+        result = polyring.eval_rational(_poly_list(args.num), _poly_list(args.den))
+        return _poly_payload(result)
+    p = polyring.parse_poly(args.p)
+    q = polyring.parse_poly(args.q)
+    ok, quot = (polyring.divides_semiring if args.semiring else polyring.divides_ring)(p, q)
+    payload = {"divides": ok, "semiring": args.semiring}
+    if quot is not None:
+        payload["quotient"] = _poly_payload(quot)
+    return payload
+
+
+def _cmd_poincare(args):
+    ctype = rootsys.CartanType.from_string(args.type)
+    fv = poincare.FlagVariety(ctype, _nodes(args.variety))
+    poly = (poincare.conormed_poincare if args.conormed else poincare.poincare_poly)(fv)
+    return dict(_poly_payload(poly), type=args.type, variety=sorted(fv.parabolic_type),
+                conormed=args.conormed, dim=poincare.dim_flag(fv))
+
+
+def _cmd_jinv(args):
+    if args.verb == "table":
+        out = {}
+        for label in jinv.supported_labels():
+            prof = jinv.max_profile(label)
+            out[label] = {"degrees": list(prof.degrees), "caps": list(prof.caps)}
+        return {"prime": jinv.PRIME, "max_profiles": out}
+    if args.verb == "poly":
+        prof = jinv.profile(args.group, _ints(args.j, "value vector"))
+        return dict(_poly_payload(jinv.upper_motive_poly(prof)), group=prof.group_label,
+                    j=list(prof.values), degrees=list(prof.degrees))
+    profiles = jinv.enumerate_admissible(args.group)
+    return {
+        "group": jinv.normalize_label(args.group),
+        "degrees": list(profiles[0].degrees),
+        "caps": list(profiles[0].caps),
+        "constraints_pinned": jinv.has_pinned_chain(args.group),
+        "values": [list(p.values) for p in profiles],
+    }
+
+
+def _cmd_cgmb(args):
+    if args.verb == "skeleton":
+        rs = rootsys.build_root_system(rootsys.CartanType.from_string(args.ambient))
+        kernel = _nodes(args.kernel)
+        variety = rs.check_nodes(_nodes(args.variety))
+        target = rs.node_set() - variety
+        return {
+            "ambient": args.ambient,
+            "kernel": sorted(kernel),
+            "variety": sorted(variety),
+            "levi": sorted(target),
+            "star": args.star,
+            "shifts": cgmb.tate_skeleton(rs, kernel, target, _star(rs, args)),
+        }
+    if args.verb == "check":
+        result = verify.run_fixture(args.fixture, args.fixtures_doc)
+        return result, 0 if result["pass"] else 1
+    blocks = [dict(_fields(b), poly=_poly_payload(b.poly)) for b in cgmb.karpenko_blocks()]
+    return {"blocks": blocks}
+
+
+def _cmd_qform(args):
+    form = qform.af_killing_form_e7(
+        _algebra(qform.QUATERNION, args.q),
+        _algebra(qform.OCTONION, args.o),
+        _gamma(args.gamma),
+    )
+    return {
+        "dim": form.dim,
+        "signature": form.signature,
+        "witt_index": form.witt_index,
+        "anisotropic": form.is_anisotropic,
+    }
+
+
+def _cmd_tables(args):
+    if args.verb == "magic":
+        if args.row or args.col:
+            if not (args.row and args.col):
+                raise ValueError("--row and --col must be given together")
+            return _fields(magictables.query_magic_square(args.row, args.col), _MAGIC)
+        if args.format == "csv":
+            lines = [",".join(_MAGIC.values())]
+            lines += [",".join(str(getattr(c, f)) for f in _MAGIC)
+                      for c in magictables.magic_square()]
+            return "".join(line + "\n" for line in lines)
+        return {"cells": [_fields(c, _MAGIC) for c in magictables.magic_square()]}
+    if args.verb == "conditions":
+        rows = magictables.condition_rows()
+        if args.group:
+            rows = (magictables.conditions_for(args.group),)
+        # the parabolic column prints as its label, "any" or "P_1,6"
+        payload = [
+            dict(_fields(r), parabolic=r.parabolic_label,
+                 binary_motive_dim=r.binary_motive_dim)
+            for r in rows
+        ]
+        return {"rows": payload}
+    if args.verb == "tits-index":
+        cases = magictables.tits_index_cases()
+        if args.rost:
+            cases = (magictables.tits_index_for_rost(args.rost),)
+        return {"cases": [_fields(c) for c in cases]}
+    rows = [_fields(r) for r in magictables.tits_construction_rows()]
+    for row in rows:
+        row["condition"] = {f.removeprefix("condition_"): row.pop(f) for f in _CONDITION}
+    return {"rows": rows}
+
+
+def _cmd_verify(args):
+    report = verify.run_verify(args.filter)
+    out = report.to_json_obj() if args.format == "json" else report.to_text() + "\n"
+    return out, report.exit_code
+
+
 _REQUIRED = {"required": True}
 _FLAG = {"action": "store_true", "default": False}
 _STARS = ("none", "opposition")
@@ -255,8 +418,8 @@ _TOP_OPTIONS = {
     },
     "--fixtures": {"default": None, "help": "path to an alternative fixtures document"},
 }
-# command -> (help line, verb -> options); a command without verbs has
-# the single verb None
+# command -> (help line, verb -> options, handler); a command without
+# verbs has the single verb None
 _COMMANDS = {
     "weyl": (
         "Weyl group computations",
@@ -270,6 +433,7 @@ _COMMANDS = {
                 "--star": {"choices": _STARS, "default": "none"},
             },
         },
+        _cmd_weyl,
     ),
     "poly": (
         "integer polynomial operations",
@@ -280,6 +444,7 @@ _COMMANDS = {
             },
             "divides": {"--p": _REQUIRED, "--q": _REQUIRED, "--semiring": _FLAG},
         },
+        _cmd_poly,
     ),
     "poincare": (
         "flag variety Poincare polynomials",
@@ -290,6 +455,7 @@ _COMMANDS = {
                 "--conormed": _FLAG,
             }
         },
+        _cmd_poincare,
     ),
     "jinv": (
         "J-invariant profiles",
@@ -301,6 +467,7 @@ _COMMANDS = {
             "enumerate": {"--group": _REQUIRED},
             "table": {},
         },
+        _cmd_jinv,
     ),
     "cgmb": (
         "double-coset motive skeletons",
@@ -314,6 +481,7 @@ _COMMANDS = {
             "check": {"--fixture": _REQUIRED},
             "blocks": {},
         },
+        _cmd_cgmb,
     ),
     "qform": (
         "real diagonal quadratic forms",
@@ -324,6 +492,7 @@ _COMMANDS = {
                 "--gamma": {"required": True, "help": "three signs, e.g. +,+,-"},
             }
         },
+        _cmd_qform,
     ),
     "tables": (
         "pinned classification tables",
@@ -333,10 +502,12 @@ _COMMANDS = {
             "tits-index": {"--rost": {"default": None}},
             "constructions": {},
         },
+        _cmd_tables,
     ),
     "verify": (
         "run the pinned verification suite",
         {None: {"--filter": {"default": None, "help": "glob over check names"}}},
+        _cmd_verify,
     ),
 }
 
@@ -426,7 +597,7 @@ def _build_parser(argv: Sequence[str]):
     for name, kw in _TOP_OPTIONS.items():
         top.add_argument(name, **kw)
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_line, verbs) in _COMMANDS.items():
+    for name, (help_line, verbs, _) in _COMMANDS.items():
         parser = sub.add_parser(name, help=help_line)
         if name not in argv:
             continue
@@ -439,200 +610,6 @@ def _build_parser(argv: Sequence[str]):
             for opt, kw in options.items():
                 parsers[verb].add_argument(opt, **kw)
     return top
-
-
-def _cmd_weyl(args) -> int:
-    rs = rootsys.build_root_system(rootsys.CartanType.from_string(args.type))
-    if args.verb == "order":
-        _emit_json({"type": args.type, "order": weyl.weyl_order(rs)})
-        return 0
-    if args.verb == "cosets":
-        parabolic = _nodes(args.parabolic)
-        # every coefficient from t^0 to the top is positive, so the table
-        # lists each length up to the degree
-        poly = weyl.quotient_poly(rs, parabolic)
-        _emit_json(
-            {
-                "type": args.type,
-                "parabolic": sorted(parabolic),
-                "count": poly(1),
-                "max_length": poly.degree,
-                "length_counts": [[l, c] for l, c in enumerate(poly.coeffs)],
-            }
-        )
-        return 0
-    left = _nodes(args.left)
-    right = _nodes(args.right)
-    star = rootsys.opposition_involution(rs) if args.star == "opposition" else None
-    cells = weyl.double_cosets(rs, left, right, star)
-    _emit_json(
-        {
-            "type": args.type,
-            "left": sorted(left),
-            "right": sorted(right),
-            "star": args.star,
-            "cells": [
-                {
-                    "length": c.length,
-                    "orbit_size": c.orbit_size,
-                    "star_invariant": c.star_invariant,
-                }
-                for c in cells
-            ],
-        }
-    )
-    return 0
-
-
-def _cmd_poly(args) -> int:
-    if args.verb == "eval-rational":
-        result = polyring.eval_rational(_poly_list(args.num), _poly_list(args.den))
-        _emit_json(_poly_payload(result))
-        return 0
-    p = polyring.parse_poly(args.p)
-    q = polyring.parse_poly(args.q)
-    ok, quot = (polyring.divides_semiring if args.semiring else polyring.divides_ring)(p, q)
-    payload = {"divides": ok, "semiring": args.semiring}
-    if quot is not None:
-        payload["quotient"] = _poly_payload(quot)
-    _emit_json(payload)
-    return 0
-
-
-def _cmd_poincare(args) -> int:
-    ctype = rootsys.CartanType.from_string(args.type)
-    fv = poincare.FlagVariety(ctype, _nodes(args.variety))
-    poly = (
-        poincare.conormed_poincare(fv) if args.conormed else poincare.poincare_poly(fv)
-    )
-    payload = _poly_payload(poly)
-    payload["type"] = args.type
-    payload["variety"] = sorted(fv.parabolic_type)
-    payload["conormed"] = args.conormed
-    payload["dim"] = poincare.dim_flag(fv)
-    _emit_json(payload)
-    return 0
-
-
-def _cmd_jinv(args) -> int:
-    if args.verb == "table":
-        out = {}
-        for label in jinv.supported_labels():
-            prof = jinv.max_profile(label)
-            out[label] = {"degrees": list(prof.degrees), "caps": list(prof.caps)}
-        _emit_json({"prime": jinv.PRIME, "max_profiles": out})
-        return 0
-    if args.verb == "poly":
-        prof = jinv.profile(args.group, _ints(args.j, "value vector"))
-        payload = _poly_payload(jinv.upper_motive_poly(prof))
-        payload["group"] = prof.group_label
-        payload["j"] = list(prof.values)
-        payload["degrees"] = list(prof.degrees)
-        _emit_json(payload)
-        return 0
-    profiles = jinv.enumerate_admissible(args.group)
-    _emit_json(
-        {
-            "group": jinv.normalize_label(args.group),
-            "degrees": list(profiles[0].degrees),
-            "caps": list(profiles[0].caps),
-            "constraints_pinned": jinv.has_pinned_chain(args.group),
-            "values": [list(p.values) for p in profiles],
-        }
-    )
-    return 0
-
-
-def _cmd_cgmb(args, fixtures_doc) -> int:
-    if args.verb == "skeleton":
-        rs = rootsys.build_root_system(rootsys.CartanType.from_string(args.ambient))
-        kernel = _nodes(args.kernel)
-        variety = rs.check_nodes(_nodes(args.variety))
-        target = rs.node_set() - variety
-        star = rootsys.opposition_involution(rs) if args.star == "opposition" else None
-        shifts = cgmb.tate_skeleton(rs, kernel, target, star)
-        _emit_json(
-            {
-                "ambient": args.ambient,
-                "kernel": sorted(kernel),
-                "variety": sorted(variety),
-                "levi": sorted(target),
-                "star": args.star,
-                "shifts": shifts,
-            }
-        )
-        return 0
-    if args.verb == "check":
-        result = verify.run_fixture(args.fixture, fixtures_doc)
-        _emit_json(result)
-        return 0 if result["pass"] else 1
-    blocks = [dict(_fields(b), poly=_poly_payload(b.poly)) for b in cgmb.karpenko_blocks()]
-    _emit_json({"blocks": blocks})
-    return 0
-
-
-def _cmd_qform(args) -> int:
-    form = qform.af_killing_form_e7(
-        _algebra(qform.QUATERNION, args.q),
-        _algebra(qform.OCTONION, args.o),
-        _gamma(args.gamma),
-    )
-    _emit_json(
-        {
-            "dim": form.dim,
-            "signature": form.signature,
-            "witt_index": form.witt_index,
-            "anisotropic": form.is_anisotropic,
-        }
-    )
-    return 0
-
-
-def _cmd_tables(args, fmt) -> int:
-    if args.verb == "magic":
-        if args.row or args.col:
-            if not (args.row and args.col):
-                raise ValueError("--row and --col must be given together")
-            _emit_json(_fields(magictables.query_magic_square(args.row, args.col), _MAGIC))
-        elif fmt == "csv":
-            sys.stdout.write(",".join(_MAGIC.values()) + "\n")
-            for c in magictables.magic_square():
-                sys.stdout.write(",".join(str(getattr(c, f)) for f in _MAGIC) + "\n")
-        else:
-            _emit_json({"cells": [_fields(c, _MAGIC) for c in magictables.magic_square()]})
-        return 0
-    if args.verb == "conditions":
-        rows = magictables.condition_rows()
-        if args.group:
-            rows = (magictables.conditions_for(args.group),)
-        # the parabolic column prints as its label, "any" or "P_1,6"
-        payload = [
-            dict(_fields(r), parabolic=r.parabolic_label,
-                 binary_motive_dim=r.binary_motive_dim)
-            for r in rows
-        ]
-        _emit_json({"rows": payload})
-        return 0
-    if args.verb == "tits-index":
-        cases = magictables.tits_index_cases()
-        if args.rost:
-            cases = (magictables.tits_index_for_rost(args.rost),)
-        _emit_json({"cases": [_fields(c) for c in cases]})
-        return 0
-    rows = [_fields(r) for r in magictables.tits_construction_rows()]
-    for row in rows:
-        row["condition"] = {f.removeprefix("condition_"): row.pop(f) for f in _CONDITION}
-    _emit_json({"rows": rows})
-    return 0
-
-
-def _cmd_verify(args, fmt) -> int:
-    report = verify.run_verify(args.filter)
-    if fmt == "json":
-        _emit_json(report.to_json_obj())
-    else:
-        sys.stdout.write(report.to_text() + "\n")
-    return report.exit_code
 
 
 def _formats(args) -> tuple[str, ...]:
@@ -656,31 +633,21 @@ def main(argv: Sequence[str] | None = None) -> int:
                 parser.error(f"argument --{name}: expected one argument")
     try:
         formats = _formats(args)
-        fmt = args.format or formats[0]
-        if fmt not in formats:
+        args.format = args.format or formats[0]
+        if args.format not in formats:
             what = " ".join(filter(None, (args.command, getattr(args, "verb", None))))
             if getattr(args, "row", None) or getattr(args, "col", None):
                 what += " with --row/--col"
-            raise ValueError(f"{what} prints {' or '.join(formats)}, not {fmt}")
-        fixtures_doc = verify.load_fixture_doc(args.fixtures) if args.fixtures else None
-        if args.command == "weyl":
-            return _cmd_weyl(args)
-        if args.command == "poly":
-            return _cmd_poly(args)
-        if args.command == "poincare":
-            return _cmd_poincare(args)
-        if args.command == "jinv":
-            return _cmd_jinv(args)
-        if args.command == "cgmb":
-            return _cmd_cgmb(args, fixtures_doc)
-        if args.command == "qform":
-            return _cmd_qform(args)
-        if args.command == "tables":
-            return _cmd_tables(args, fmt)
-        if args.command == "verify":
-            return _cmd_verify(args, fmt)
-        raise AssertionError(args.command)
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
+            raise ValueError(f"{what} prints {' or '.join(formats)}, not {args.format}")
+        args.fixtures_doc = verify.load_fixture_doc(args.fixtures) if args.fixtures else None
+        out = _COMMANDS[args.command][2](args)
+        out, code = out if isinstance(out, tuple) else (out, 0)
+        if isinstance(out, str):
+            sys.stdout.write(out)
+        else:
+            _emit_json(out)
+        return code
+    except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _USAGE_ERROR
 

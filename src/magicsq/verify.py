@@ -71,14 +71,6 @@ class VerifyReport:
 # -- cgmb fixture plumbing ---------------------------------------------------
 
 
-def _resolve_total(spec: dict) -> IntPoly:
-    p = spec["poincare"]
-    fv = poincare.FlagVariety(
-        CartanType.from_string(p["type"]), frozenset(p["variety"])
-    )
-    return poincare.poincare_poly(fv)
-
-
 def _expand_terms(term_specs: list[dict]) -> list[cgmb.MotiveTerm]:
     out = []
     for spec in term_specs:
@@ -86,6 +78,23 @@ def _expand_terms(term_specs: list[dict]) -> list[cgmb.MotiveTerm]:
         for shift in spec["shifts"]:
             out.append(cgmb.MotiveTerm(spec["kind"], shift, block))
     return out
+
+
+def _fixture_records(
+    f: dict,
+) -> tuple[poincare.FlagVariety, list[cgmb.MotiveTerm], list[IntPoly] | None]:
+    """A fixture's total variety, terms and blocks (None for an identity).
+
+    Building them applies the rules the run would, so ``load_fixture_doc``
+    builds them too; a fixture that breaks one raises ValueError.
+    """
+    p = f["total"]["poincare"]
+    fv = poincare.FlagVariety(CartanType.from_string(p["type"]), frozenset(p["variety"]))
+    if f["kind"] == "identity":
+        return fv, _expand_terms(f["terms"]), None
+    blocks = [IntPoly(b) for b in f["blocks"]]
+    cgmb.check_blocks(blocks)
+    return fv, _expand_terms(f["subtract"]), blocks
 
 
 # keys each fixture kind reads, beyond the name, kind and total all share
@@ -103,8 +112,10 @@ def load_fixture_doc(path: str) -> dict:
     """Read and validate an alternative fixtures document.
 
     Every failure, from an unreadable file to a fixture lacking a key its
-    kind needs, a value of the wrong type, a repeated name or a term shift
-    outside 0..MAX_DEGREE, raises ValueError with a one-line message.
+    kind needs, a value of the wrong type, a repeated name, a term shift
+    outside 0..MAX_DEGREE or a value its run would refuse (a Dynkin type,
+    a term kind, coeffs on a term that is not upper, a zero or negative
+    block), raises ValueError with a one-line message.
     """
     import json  # only an alternative fixtures document needs it here
 
@@ -172,6 +183,10 @@ def load_fixture_doc(path: str) -> dict:
                     f"integer shifts in 0..{MAX_DEGREE} and optionally a list of "
                     "integer coeffs"
                 )
+        try:
+            _fixture_records(f)
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from exc
     return doc
 
 
@@ -190,34 +205,31 @@ def run_fixture(name: str, doc: dict | None = None) -> dict:
         raise ValueError(
             f"unknown fixture {name!r}; available: {', '.join(fixture_names(doc))}"
         )
-    total = _resolve_total(f["total"])
+    fv, terms, blocks = _fixture_records(f)
+    total = poincare.poincare_poly(fv)
     if f["kind"] == "identity":
-        d = cgmb.Decomposition(total, tuple(_expand_terms(f["terms"])))
-        ok, residual = cgmb.check_decomposition(d)
+        ok, residual = cgmb.check_decomposition(cgmb.Decomposition(total, tuple(terms)))
         return {
             "name": name,
             "kind": f["kind"],
             "pass": ok,
             "residual": [str(c) for c in residual.coeffs],
         }
-    if f["kind"] == "residual-expressible":
-        residual = total
-        for term in _expand_terms(f["subtract"]):
-            residual = residual - term.contribution()
-        blocks = [IntPoly(b) for b in f["blocks"]]
-        witness = cgmb.express_residual(residual, blocks)
-        ok = witness is not None
-        details: dict = {"name": name, "kind": f["kind"]}
-        if ok:
-            roundtrip = cgmb.witness_sum(witness, blocks) == residual
-            min_shift = min((s for _, s in witness), default=0)
-            ok = roundtrip and min_shift >= f["min_shift"]
-            details["witness_terms"] = len(witness)
-            details["min_shift"] = min_shift
-            details["roundtrip"] = roundtrip
-        details["pass"] = ok
-        return details
-    raise ValueError(f"unknown fixture kind {f['kind']!r}")
+    residual = total
+    for term in terms:
+        residual = residual - term.contribution()
+    witness = cgmb.express_residual(residual, blocks)
+    ok = witness is not None
+    details: dict = {"name": name, "kind": f["kind"]}
+    if ok:
+        roundtrip = cgmb.witness_sum(witness, blocks) == residual
+        min_shift = min((s for _, s in witness), default=0)
+        ok = roundtrip and min_shift >= f["min_shift"]
+        details["witness_terms"] = len(witness)
+        details["min_shift"] = min_shift
+        details["roundtrip"] = roundtrip
+    details["pass"] = ok
+    return details
 
 
 # -- individual checks -------------------------------------------------------

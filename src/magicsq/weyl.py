@@ -129,12 +129,15 @@ def quotient_poly(rs: RootSystem, parabolic: Iterable[int]) -> IntPoly:
 
     Solomon's formula: prod [d]_t over the degrees d of W divided by the
     same product over the degrees of W_J, read off the root heights on J,
-    where [d]_t = 1 + t + ... + t^(d-1).  The division is exact; a
+    where [d]_t = 1 + t + ... + t^(d-1).  The degrees the two share cancel
+    before anything is multiplied out, so only the two multiset
+    differences count against MAX_DEGREE.  The division is exact; a
     remainder would mean corrupt root data and raises InexactDivision.
     """
+    top, levi = Counter(fundamental_degrees(rs)), Counter(_degrees(rs, parabolic))
     return eval_rational(
-        [IntPoly((1,) * d) for d in fundamental_degrees(rs)],
-        [IntPoly((1,) * d) for d in _degrees(rs, parabolic)],
+        [IntPoly((1,) * d) for d in (top - levi).elements()],
+        [IntPoly((1,) * d) for d in (levi - top).elements()],
     )
 
 

@@ -142,6 +142,19 @@ def test_large_e8_quotients(circled, count, dim):
     assert all(c > 0 for c in p.coeffs)
 
 
+def test_small_quotient_of_a_large_group():
+    # A95 X_{1,95}, the point-in-hyperplane flags of P^95: the product of
+    # [d]_t over the degrees 2..96 of W has degree 4560, above MAX_DEGREE,
+    # but the Levi A93 shares every degree but 95 and 96
+    fv = _fv("A95", {1, 95})
+    p = poincare_poly(fv)
+    assert p.degree == dim_flag(fv) == 189
+    assert p(1) == 96 * 95
+    assert p.is_palindromic()
+    # the split polynomial and its conormed twin both come out
+    assert conormed_poincare(_fv("2A95", {1, 95})).degree == 189
+
+
 def test_quotient_identity_for_proper_parabolic():
     # P(W) = P(W^J) * P(W_J) with lengths adding
     rs = build_root_system(CartanType("E", 6))

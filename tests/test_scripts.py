@@ -68,3 +68,29 @@ def test_borel_series_sweeps_on_a_tiny_catalog(monkeypatch, capsys):
         "D4     48 transposed cases ok",
         "48 double-coset cases of left index <= 20 < right index",
     ]
+
+
+def test_borel_series_group_and_conormed_sweeps_on_a_tiny_catalog(monkeypatch, capsys):
+    script = _load(SCRIPTS_DIR / "borel_series_check.py", monkeypatch)
+    for name, value in (
+        ("TYPES", ["A1", "A2", "B2", "G2", "A3"]),
+        ("TWISTED_TYPES", ["2A2", "2A3", "2D4"]), ("TWISTED_MAX_INDEX", 200),
+    ):
+        monkeypatch.setattr(script, name, value)
+    script.check_groups()
+    script.check_conormed()
+    # the timings follow the last "(" of a group line and the colon of a total
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rpartition("  (")[0] for line in lines[:5]] == [
+        "A1   |W| =            2  top degree   1  ok",
+        "A2   |W| =            6  top degree   3  ok",
+        "B2   |W| =            8  top degree   4  ok",
+        "G2   |W| =           12  top degree   6  ok",
+        "A3   |W| =           24  top degree   6  ok",
+    ]
+    assert [line.split(":")[0] for line in lines[5:]] == [
+        "2A2    1 sigma-stable varieties ok",
+        "2A3    3 sigma-stable varieties ok",
+        "2D4    7 sigma-stable varieties ok",
+        "11 conormed polynomials of index <= 200",
+    ]

@@ -671,6 +671,43 @@ def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, path
 
 
+@pytest.mark.parametrize(
+    "broken,message",
+    [
+        ({"terms": [{"kind": "bogus", "shifts": [0]}]}, "unknown motive term kind 'bogus'"),
+        ({"total": {"poincare": {"type": "Q9", "variety": [1]}}}, "invalid Dynkin type Q9"),
+        ({"total": {"poincare": {"type": "A3", "variety": [4]}}}, "not within 1..3"),
+        ({"terms": [{"kind": "tate", "shifts": [0], "coeffs": [1]}]},
+         "tate term carries no polynomial"),
+        ({"terms": [{"kind": "upper", "shifts": [0]}]}, "upper block requires a nonzero"),
+        ({"kind": "residual-expressible", "subtract": [], "blocks": [[0]], "min_shift": 0},
+         "blocks must be nonzero"),
+        ({"kind": "residual-expressible", "subtract": [], "blocks": [[1, -1]],
+          "min_shift": 0}, "blocks must have nonnegative coefficients"),
+        ({"kind": "residual-expressible", "subtract": [], "blocks": [], "min_shift": 0},
+         "at least one block is required"),
+    ],
+)
+def test_cli_fixture_document_is_checked_in_full_when_read(tmp_path, capsys, broken, message):
+    # a fixture that only its run would refuse fails the whole document when
+    # it is read, naming the fixture and the file, even though the command
+    # runs another fixture of the document
+    fixture = {
+        "name": "broken", "kind": "identity",
+        "total": {"poincare": {"type": "A1", "variety": [1]}},
+        "terms": [{"kind": "tate", "shifts": [0, 1]}],
+    }
+    fixture.update(broken)
+    path = tmp_path / "fixtures.json"
+    doc = {"version": 1, "fixtures": [*_data.FIXTURES["fixtures"], fixture]}
+    path.write_text(json.dumps(doc))
+    code = main(["--fixtures", str(path), "cgmb", "check", "--fixture", "henke-y1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: fixture 'broken' in {path}: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
 def test_builtin_documents_are_json_documents(tmp_path):
     # tuples, sets or non-str keys would print the same but compare differently
     assert json.loads(json.dumps(_data.FIXTURES)) == _data.FIXTURES
