@@ -6,8 +6,10 @@ PATH`` reads a JSON document of the same shape.  So it stays the value
 ``json.load`` returns for a version-1 document, not records: the tests
 hold it to JSON types (str-keyed dicts, lists, str, int, bool, None) and
 to the rules ``verify.load_fixture_doc`` applies to a user's document,
-and it stays a template for one.  The pinned classification tables are
-records in the modules that read them (``magictables``, ``jinv``).
+and it stays a template for one.  ``verify._read_fixture`` is the one
+reader of a fixture, here and in a user's document.  The pinned
+classification tables are records in the modules that read them
+(``magictables``, ``jinv``).
 
 A literal loads with the module's cached bytecode, so no built-in command
 imports ``json``, whose decoder and encoder compile their regular

@@ -84,11 +84,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def coefficient(self, exponent: int) -> int:
-        if 0 <= exponent < len(self._coeffs):
-            return self._coeffs[exponent]
-        return 0
-
     def valuation(self) -> int:
         """Smallest exponent with a nonzero coefficient."""
         if not self._coeffs:
@@ -160,7 +155,7 @@ class IntPoly:
         return bool(self._coeffs)
 
     def is_palindromic(self) -> bool:
-        """True iff coefficient(i) == coefficient(deg - i) for all i."""
+        """True iff the coefficients of t^i and t^(deg - i) agree for all i."""
         return self._coeffs == self._coeffs[::-1]
 
     def __str__(self) -> str:

@@ -191,11 +191,6 @@ class RootSystem:
             )
         return self._signed_tables
 
-    def simple_root_index(self, node: int) -> int:
-        """Index of simple root a_node (1-based node) in positive_roots."""
-        # the height-one roots come first in graded-lex order, a_rank first
-        return self.rank - node
-
     def node_set(self) -> frozenset[int]:
         return frozenset(range(1, self.rank + 1))
 

@@ -70,52 +70,78 @@ class VerifyReport:
 
 # -- cgmb fixture plumbing ---------------------------------------------------
 
-
-def _expand_terms(term_specs: list[dict]) -> list[cgmb.MotiveTerm]:
-    out = []
-    for spec in term_specs:
-        block = IntPoly(spec["coeffs"]) if "coeffs" in spec else None
-        for shift in spec["shifts"]:
-            out.append(cgmb.MotiveTerm(spec["kind"], shift, block))
-    return out
+_FIXTURE_KINDS = ("identity", "residual-expressible")
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
-def _fixture_records(
-    f: dict,
-) -> tuple[poincare.FlagVariety, list[cgmb.MotiveTerm], list[IntPoly] | None]:
-    """A fixture's total variety, terms and blocks (None for an identity).
+def _typed(value, want: type, key: str):
+    """value, which must be of type want exactly: a bool is not an int."""
+    if type(value) is not want:
+        raise ValueError(f"{key} must be {_TYPE_NAMES[want]}")
+    return value
 
-    Building them applies the rules the run would, so ``load_fixture_doc``
-    builds them too; a fixture that breaks one raises ValueError.
+
+def _ints(value, key: str, top: int | None = None) -> list[int]:
+    """value as a list of exact ints, each within 0..top if top is given."""
+    if not all(
+        type(x) is int and (top is None or 0 <= x <= top) for x in _typed(value, list, key)
+    ):
+        within = "" if top is None else f" in 0..{top}"
+        raise ValueError(f"{key} must be a list of integers{within}")
+    return value
+
+
+def _read_fixture(f: dict) -> tuple[
+    poincare.FlagVariety, list[cgmb.MotiveTerm], list[IntPoly] | None, int | None
+]:
+    """The one reader of a fixture: its total, terms, blocks and min_shift.
+
+    The terms are ``terms`` for an identity, which has no blocks or
+    min_shift (None), and ``subtract`` otherwise.  Each key is read once,
+    and a value that is missing, of the wrong type or refused by the
+    record built from it raises ValueError naming it.
     """
-    p = f["total"]["poincare"]
-    fv = poincare.FlagVariety(CartanType.from_string(p["type"]), frozenset(p["variety"]))
-    if f["kind"] == "identity":
-        return fv, _expand_terms(f["terms"]), None
-    blocks = [IntPoly(b) for b in f["blocks"]]
+    p = _typed(_typed(f.get("total"), dict, "total").get("poincare"), dict, "total.poincare")
+    fv = poincare.FlagVariety(
+        CartanType.from_string(_typed(p.get("type"), str, "total.poincare.type")),
+        frozenset(_ints(p.get("variety"), "total.poincare.variety")),
+    )
+    key = "terms" if f["kind"] == "identity" else "subtract"
+    terms = []
+    for i, spec in enumerate(_typed(f.get(key), list, key)):
+        where = f"{key}[{i}]"
+        kind = _typed(_typed(spec, dict, where).get("kind"), str, f"{where}.kind")
+        shifts = _ints(spec.get("shifts"), f"{where}.shifts", MAX_DEGREE)
+        block = IntPoly(_ints(spec["coeffs"], f"{where}.coeffs")) if "coeffs" in spec else None
+        terms += [cgmb.MotiveTerm(kind, shift, block) for shift in shifts]
+    if key == "terms":
+        return fv, terms, None, None
+    blocks = [
+        IntPoly(_ints(b, f"blocks[{i}]"))
+        for i, b in enumerate(_typed(f.get("blocks"), list, "blocks"))
+    ]
     cgmb.check_blocks(blocks)
-    return fv, _expand_terms(f["subtract"]), blocks
+    return fv, terms, blocks, _typed(f.get("min_shift"), int, "min_shift")
 
 
-# keys each fixture kind reads, beyond the name, kind and total all share
-_FIXTURE_KEYS = {
-    "identity": ("terms",),
-    "residual-expressible": ("subtract", "blocks", "min_shift"),
-}
-
-
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(type(x) is int for x in value)
+def _residual(fv: poincare.FlagVariety, terms: list[cgmb.MotiveTerm]) -> IntPoly:
+    """The total's Poincare polynomial minus the terms' contributions."""
+    total = poincare.poincare_poly(fv)
+    return cgmb.check_decomposition(cgmb.Decomposition(total, tuple(terms)))[1]
 
 
 def load_fixture_doc(path: str) -> dict:
-    """Read and validate an alternative fixtures document.
+    """Read an alternative fixtures document and check it in full.
 
-    Every failure, from an unreadable file to a fixture lacking a key its
-    kind needs, a value of the wrong type, a repeated name, a term shift
-    outside 0..MAX_DEGREE or a value its run would refuse (a Dynkin type,
-    a term kind, coeffs on a term that is not upper, a zero or negative
-    block), raises ValueError with a one-line message.
+    Checked here, for the document as a whole: the JSON read, ``version``
+    1, and a ``fixtures`` list of objects with unique string names and
+    known kinds.  Each fixture is then read by ``_read_fixture``, the one
+    reader of a fixture, which ``run_fixture`` uses too.  Its total is
+    computed, so a type with too many positive roots (refused before its
+    root system is built) or a polynomial of too high a degree is refused
+    here, as its run would refuse it; and the ``subtract`` terms must leave
+    a residual with no negative coefficient.  Every failure raises
+    ValueError with a one-line message.
     """
     import json  # only an alternative fixtures document needs it here
 
@@ -124,9 +150,9 @@ def load_fixture_doc(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read fixtures {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
         raise ValueError(f"fixtures {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != 1:
+    if type(doc) is not dict or type(doc.get("version")) is not int or doc["version"] != 1:
         raise ValueError(f"fixtures {path} must be a document with version 1")
     fixtures = doc.get("fixtures")
     if not isinstance(fixtures, list):
@@ -135,58 +161,19 @@ def load_fixture_doc(path: str) -> dict:
     for k, f in enumerate(fixtures):
         if not isinstance(f, dict):
             raise ValueError(f"fixture #{k} in {path} is not an object")
-        label = f"fixture {f.get('name', f'#{k}')!r} in {path}"
-        kind = f.get("kind")
-        if "kind" in f and not (isinstance(kind, str) and kind in _FIXTURE_KEYS):
-            raise ValueError(f"{label}: kind must be one of {', '.join(_FIXTURE_KEYS)}")
-        need = ("name", "kind", "total") + _FIXTURE_KEYS.get(kind, ())
-        missing = [key for key in need if key not in f]
-        if missing:
-            raise ValueError(f"{label} lacks {', '.join(missing)}")
-        if not isinstance(f["name"], str):
-            raise ValueError(f"{label}: name must be a string")
-        if f["name"] in names:
-            raise ValueError(f"{label}: another fixture has the same name")
-        names.add(f["name"])
-        total = f["total"]
-        if not (
-            isinstance(total, dict)
-            and isinstance(total.get("poincare"), dict)
-            and isinstance(total["poincare"].get("type"), str)
-            and _is_int_list(total["poincare"].get("variety"))
-        ):
-            raise ValueError(
-                f"{label}: total must be {{'poincare': {{type, variety}}}} with a string "
-                "type and a list of integer nodes"
-            )
-        if kind == "residual-expressible" and not (
-            isinstance(f["blocks"], list)
-            and all(_is_int_list(b) for b in f["blocks"])
-            and type(f["min_shift"]) is int
-        ):
-            raise ValueError(
-                f"{label}: blocks must be a list of integer coefficient lists and "
-                "min_shift an integer"
-            )
-        for key in ("terms", "subtract"):  # the term lists _expand_terms reads
-            entries = f.get(key, [])
-            if not isinstance(entries, list) or not all(
-                isinstance(e, dict)
-                and isinstance(e.get("kind"), str)
-                and _is_int_list(e.get("shifts"))
-                and all(0 <= s <= MAX_DEGREE for s in e["shifts"])
-                and _is_int_list(e.get("coeffs", []))
-                for e in entries
-            ):
-                raise ValueError(
-                    f"{label}: every {key} entry needs a string kind, a list of "
-                    f"integer shifts in 0..{MAX_DEGREE} and optionally a list of "
-                    "integer coeffs"
-                )
+        name = f.get("name", f"#{k}")
         try:
-            _fixture_records(f)
-        except ValueError as exc:
-            raise ValueError(f"{label}: {exc}") from exc
+            if _typed(f.get("name"), str, "name") in names:
+                raise ValueError("another fixture has the same name")
+            names.add(name)
+            if f.get("kind") not in _FIXTURE_KINDS:
+                raise ValueError(f"kind must be one of {', '.join(_FIXTURE_KINDS)}")
+            fv, terms, blocks, _ = _read_fixture(f)
+            residual = _residual(fv, terms)
+            if blocks is not None and any(c < 0 for c in residual.coeffs):
+                raise ValueError("residual must have nonnegative coefficients")
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"fixture {name!r} in {path}: {exc}") from exc
     return doc
 
 
@@ -205,26 +192,22 @@ def run_fixture(name: str, doc: dict | None = None) -> dict:
         raise ValueError(
             f"unknown fixture {name!r}; available: {', '.join(fixture_names(doc))}"
         )
-    fv, terms, blocks = _fixture_records(f)
-    total = poincare.poincare_poly(fv)
-    if f["kind"] == "identity":
-        ok, residual = cgmb.check_decomposition(cgmb.Decomposition(total, tuple(terms)))
+    fv, terms, blocks, least_shift = _read_fixture(f)
+    residual = _residual(fv, terms)
+    if blocks is None:
         return {
             "name": name,
             "kind": f["kind"],
-            "pass": ok,
+            "pass": residual.is_zero,
             "residual": [str(c) for c in residual.coeffs],
         }
-    residual = total
-    for term in terms:
-        residual = residual - term.contribution()
     witness = cgmb.express_residual(residual, blocks)
     ok = witness is not None
     details: dict = {"name": name, "kind": f["kind"]}
     if ok:
         roundtrip = cgmb.witness_sum(witness, blocks) == residual
         min_shift = min((s for _, s in witness), default=0)
-        ok = roundtrip and min_shift >= f["min_shift"]
+        ok = roundtrip and min_shift >= least_shift
         details["witness_terms"] = len(witness)
         details["min_shift"] = min_shift
         details["roundtrip"] = roundtrip

@@ -12,7 +12,8 @@ references and the sigma-fixed conormed reference build on it; the
 tests and ``scripts/borel_series_check.py`` compare the package against
 them.  This module imports only magicsq, so the script runs without the
 test extras.  Also here: the golden-file forms of a root system and a
-polynomial, which only the tests read.
+polynomial, a simple root's index and a polynomial's coefficient, which
+only the tests read.
 """
 
 import functools
@@ -68,6 +69,17 @@ class WeylElement:
         return WeylElement(tuple(inv))
 
 
+def simple_root_index(rs: RootSystem, node: int) -> int:
+    """Index of simple root a_node (1-based node) in positive_roots."""
+    # the height-one roots come first in graded-lex order, a_rank first
+    return rs.rank - node
+
+
+def coefficient(p: IntPoly, exponent: int) -> int:
+    """The coefficient of t^exponent in p, 0 beyond its degree."""
+    return p.coeffs[exponent] if 0 <= exponent < len(p.coeffs) else 0
+
+
 def identity(rs: RootSystem) -> WeylElement:
     return WeylElement(tuple(range(rs.num_positive)))
 
@@ -81,7 +93,7 @@ def simple_reflection(rs: RootSystem, node: int) -> WeylElement:
 def right_descents(rs: RootSystem, w: WeylElement) -> frozenset[int]:
     """Nodes i with l(w s_i) < l(w), i.e. w(a_i) negative."""
     return frozenset(
-        i + 1 for i in range(rs.rank) if w.action[rs.simple_root_index(i + 1)] < 0
+        i + 1 for i in range(rs.rank) if w.action[simple_root_index(rs, i + 1)] < 0
     )
 
 
@@ -92,7 +104,7 @@ def reduced_word(rs: RootSystem, w: WeylElement) -> list[int]:
     tables = rs.simple_reflection_tables
     while True:
         for i in range(rs.rank):
-            if act[rs.simple_root_index(i + 1)] < 0:
+            if act[simple_root_index(rs, i + 1)] < 0:
                 word.append(i + 1)
                 act = _compose(signed_table(act), tables[i])
                 break
@@ -114,7 +126,7 @@ def _coset_bfs(
     l+1 arises from one of length l this way, so levels are complete.
     """
     tables = [rs.signed_reflection_tables[i - 1] for i in generator_nodes]
-    reduced = _picker([rs.simple_root_index(j) for j in sorted(reduced_nodes)])
+    reduced = _picker([simple_root_index(rs, j) for j in sorted(reduced_nodes)])
     ident = tuple(range(rs.num_positive))
     seen = {ident}
     level = [ident]
@@ -200,7 +212,7 @@ def full_action(rs, simple_images):
     chains, lookup = _root_chains(rs)
     roots = rs.positive_roots
     images = [_pack(roots[s]) if s >= 0 else -_pack(roots[~s]) for s in simple_images]
-    simple = [images[rs.simple_root_index(k + 1)] for k in range(rs.rank)]
+    simple = [images[simple_root_index(rs, k + 1)] for k in range(rs.rank)]
     for prev, k in chains:
         images.append(images[prev] + simple[k])
     return tuple(lookup[v] for v in images)
@@ -213,7 +225,7 @@ def _kilmoyer_table(rs, right, star):
     with w^-1(a_i) a simple root of J; and whether conjugating by the
     star, i.e. multiplying out the star-mapped reduced word, gives w back.
     """
-    simple_in_right = {rs.simple_root_index(j) for j in right}
+    simple_in_right = {simple_root_index(rs, j) for j in right}
     table = []
     for _, action in coset_actions(rs, right):
         w = WeylElement(action)
@@ -221,7 +233,7 @@ def _kilmoyer_table(rs, right, star):
         to_simple = frozenset(
             i
             for i in range(1, rs.rank + 1)
-            if w_inv.action[rs.simple_root_index(i)] in simple_in_right
+            if w_inv.action[simple_root_index(rs, i)] in simple_in_right
         )
         fixed = True
         if star is not None:

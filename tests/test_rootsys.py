@@ -14,7 +14,7 @@ from magicsq.rootsys import (
     twist_aut,
 )
 
-from _reference import root_system_to_json
+from _reference import root_system_to_json, simple_root_index
 
 # classical positive-root counts
 COUNTS = {
@@ -61,7 +61,7 @@ def test_roots_are_nonnegative_and_contain_simples(label):
     for v in rs.positive_roots:
         assert all(c >= 0 for c in v)
     for i in range(1, rs.rank + 1):
-        v = rs.positive_roots[rs.simple_root_index(i)]
+        v = rs.positive_roots[simple_root_index(rs, i)]
         assert sum(v) == 1 and v[i - 1] == 1
 
 
@@ -86,7 +86,7 @@ def test_reflection_tables_are_signed_permutations(label):
             assert back == r
         # s_i negates exactly its own simple root among the positives
         negated = [r for r in range(n) if tab[r] < 0]
-        assert negated == [rs.simple_root_index(i + 1)]
+        assert negated == [simple_root_index(rs, i + 1)]
 
 
 def test_cartan_matrices_match_standard_tables():
@@ -186,7 +186,7 @@ def _minus_w0_from_longest_element(rs):
     does not yet negate its simple root, until every simple root is
     negated.
     """
-    simple = [rs.simple_root_index(i) for i in range(1, rs.rank + 1)]
+    simple = [simple_root_index(rs, i) for i in range(1, rs.rank + 1)]
     act = list(range(rs.num_positive))
     while True:
         for r, table in zip(simple, rs.simple_reflection_tables):

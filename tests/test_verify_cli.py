@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import copy
 import io
@@ -603,6 +604,7 @@ def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
         "not-json.json": "{",
         "no-version.json": json.dumps({"fixtures": []}),
         "wrong-version.json": json.dumps({"version": 2, "fixtures": []}),
+        "version-true.json": json.dumps(dict(_data.FIXTURES, version=True)),
         "no-fixtures.json": json.dumps({"version": 1}),
         "no-total.json": json.dumps(
             {"version": 1, "fixtures": [{"name": "x", "kind": "identity", "terms": []}]}
@@ -660,6 +662,16 @@ def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
             {"version": 1, "fixtures": [dict(residual, **{key: value})]}
         )
     bad_docs["same-name-twice.json"] = json.dumps({"version": 1, "fixtures": [residual, residual]})
+    # nesting too deep for the decoder: a bare one, and one in a fixture's claim
+    bad_docs["nested-too-deep.json"] = "[" * 100_000 + "]" * 100_000
+    bad_docs["nested-too-deep-claim.json"] = json.dumps(
+        {"version": 1, "fixtures": [dict(residual, claim="CLAIM")]}
+    ).replace('"CLAIM"', "[" * 5_000 + "]" * 5_000)
+    whole_document = {
+        "version-true.json": "must be a document with version 1",
+        "nested-too-deep.json": "is not valid JSON: ",
+        "nested-too-deep-claim.json": "is not valid JSON: ",
+    }
     paths = [str(tmp_path / "missing.json")]
     for name, text in bad_docs.items():
         (tmp_path / name).write_text(text)
@@ -669,6 +681,9 @@ def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2, path
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, path
+        why = whole_document.get(os.path.basename(path))
+        if why:
+            assert captured.err.startswith(f"error: fixtures {path} {why}"), path
 
 
 @pytest.mark.parametrize(
@@ -686,6 +701,14 @@ def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
           "min_shift": 0}, "blocks must have nonnegative coefficients"),
         ({"kind": "residual-expressible", "subtract": [], "blocks": [], "min_shift": 0},
          "at least one block is required"),
+        # the total is too large to build, or the subtracted terms leave a
+        # negative residual: refusals of the run, not of reading the keys
+        ({"total": {"poincare": {"type": "A250", "variety": [1]}}},
+         "root system A250 has 31375 positive roots, above the limit of 20000"),
+        ({"kind": "residual-expressible", "subtract": [{"kind": "tate", "shifts": [0, 0, 0]}],
+          "blocks": [[1]], "min_shift": 0}, "residual must have nonnegative coefficients"),
+        ({"total": {"poincare": {"type": "A91", "variety": list(range(1, 92))}}},
+         "numerator product has degree 4186, above the maximum 4096"),
     ],
 )
 def test_cli_fixture_document_is_checked_in_full_when_read(tmp_path, capsys, broken, message):
@@ -706,6 +729,52 @@ def test_cli_fixture_document_is_checked_in_full_when_read(tmp_path, capsys, bro
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith(f"error: fixture 'broken' in {path}: ")
     assert message in captured.err and captured.err.count("\n") == 1
+
+
+def _substituted_fixture_docs():
+    """Built-in documents with one value of one fixture replaced.
+
+    Every key of each built-in fixture, of its total's ``poincare`` and of
+    each of its term entries takes each value in turn.
+    """
+    values = [None, True, 0, -1, MAX_DEGREE + 1, "x", [], {}, [True], [-1], ["1"]]
+    builtin = _data.FIXTURES["fixtures"]
+    for i, fixture in enumerate(builtin):
+        slots = [(key,) for key in fixture]
+        slots += [("total", "poincare", key) for key in fixture["total"]["poincare"]]
+        for key in ("terms", "subtract"):
+            for j, entry in enumerate(fixture.get(key, [])):
+                slots += [(key, j, k) for k in entry]
+        for *outer, last in slots:
+            for value in values:
+                fixtures = copy.deepcopy(builtin)
+                obj = fixtures[i]
+                for k in outer:
+                    obj = obj[k]
+                obj[last] = value
+                yield fixture["name"], {"version": 1, "fixtures": fixtures}
+
+
+def test_cli_substituted_fixture_values_never_raise(tmp_path, capsys):
+    # a value of the wrong type or range anywhere in a fixture either runs
+    # (exit 0 or 1, nothing on stderr) or is refused with one error line
+    path = str(tmp_path / "fixtures.json")
+    codes = collections.Counter()
+    for name, doc in _substituted_fixture_docs():
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code = main(["--fixtures", path, "cgmb", "check", "--fixture", name])
+        captured = capsys.readouterr()
+        codes[code] += 1
+        if code == 2:
+            assert captured.out == "" and captured.err.startswith("error: "), doc
+            assert captured.err.count("\n") == 1, doc
+        else:
+            assert code in (0, 1) and captured.err == "", doc
+            assert json.loads(captured.out)["pass"] is (code == 0), doc
+    # 37 slots times 11 values; those run are a claim of any value, a term
+    # list or shift list emptied, a term's coeffs [-1] and any integer min_shift
+    assert codes == {0: 37, 1: 13, 2: 357}
 
 
 def test_builtin_documents_are_json_documents(tmp_path):

@@ -36,6 +36,7 @@ from _reference import (
     reduced_word,
     right_descents,
     simple_reflection,
+    simple_root_index,
 )
 
 DEGREES = {
@@ -354,7 +355,7 @@ def test_simple_roots_lead_the_positive_roots(label):
     n = rs.rank
     units = [tuple(int(k == i) for k in range(n)) for i in reversed(range(n))]
     assert list(rs.positive_roots[:n]) == units
-    assert [rs.simple_root_index(i) for i in range(n, 0, -1)] == list(range(n))
+    assert [simple_root_index(rs, i) for i in range(n, 0, -1)] == list(range(n))
 
 
 @pytest.mark.parametrize("label", ["F4", "D5", "B4"])
