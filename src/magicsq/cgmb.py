@@ -11,8 +11,9 @@ its splitting-field polynomial, and the class of a quadratic point
 contributes 2 * t^shift (two rational points after the quadratic base
 change).  ``express_residual`` decides whether a leftover polynomial is
 a nonnegative combination of shifted blocks, by exhaustive lowest-
-exponent-first backtracking with memoization; it returns one witness,
-found in a fixed search order, so reruns reproduce it bit for bit.
+exponent-first backtracking that remembers the residuals that failed; it
+returns one witness, found in a fixed search order, so reruns reproduce
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -95,9 +96,6 @@ def check_blocks(blocks: Sequence[IntPoly]) -> None:
             raise ValueError("blocks must have nonnegative coefficients")
 
 
-_MISS = object()
-
-
 def express_residual(
     residual: IntPoly, blocks: Sequence[IntPoly]
 ) -> list[tuple[int, int]] | None:
@@ -108,6 +106,10 @@ def express_residual(
     uncovered exponent first, larger block first, so the witness is
     reproducible.  The residual and every block must have nonnegative
     coefficients; blocks must be nonzero.
+
+    The search is depth-first on an explicit stack, one frame per placed
+    block, so a witness of any number of terms is found; a residual that
+    has no expression is remembered and never searched again.
     """
     if any(c < 0 for c in residual.coeffs):
         raise ValueError("residual must have nonnegative coefficients")
@@ -120,43 +122,37 @@ def express_residual(
         range(len(blocks)), key=lambda i: (-(len(normalized[i][1]) - 1), i)
     )
 
-    memo: dict[tuple[int, ...], tuple | None] = {}
-
-    def solve(res: tuple[int, ...]) -> tuple | None:
-        res = _strip(res)
+    failed: set[tuple[int, ...]] = set()
+    # a residual and the blocks not yet tried on it, one frame per placed block
+    stack = [(_strip(residual.coeffs), iter(order))]
+    placed: list[tuple[int, int]] = []  # placed[k] leads from stack[k] to stack[k + 1]
+    while stack:
+        res, untried = stack[-1]
         if not res:
-            return ()
-        hit = memo.get(res, _MISS)
-        if hit is not _MISS:
-            return hit
+            return sorted(placed)
         e = next(i for i, c in enumerate(res) if c)
-        result = None
-        for bi in order:
+        for bi in untried:
             val, bc = normalized[bi]
             if e < val:
                 continue  # shift would be negative
             if len(res) < e + len(bc):
                 continue  # block overshoots the residual degree
             nxt = list(res)
-            ok = True
             for k, c in enumerate(bc):
                 nxt[e + k] -= c
-                if nxt[e + k] < 0:
-                    ok = False
-                    break
-            if not ok:
+            if min(nxt[e : e + len(bc)]) < 0:
                 continue
-            sub = solve(tuple(nxt))
-            if sub is not None:
-                result = ((bi, e - val),) + sub
+            nxt = _strip(tuple(nxt))
+            if nxt not in failed:
+                placed.append((bi, e - val))
+                stack.append((nxt, iter(order)))
                 break
-        memo[res] = result
-        return result
-
-    witness = solve(residual.coeffs)
-    if witness is None:
-        return None
-    return sorted(witness)
+        else:
+            failed.add(res)
+            stack.pop()
+            if placed:
+                placed.pop()
+    return None
 
 
 def _strip(res: tuple[int, ...]) -> tuple[int, ...]:

@@ -22,16 +22,11 @@ Bourbaki node numbering, pinned here once and for all:
     E_n : path 1-3-4-5-6(-7)(-8), node 2 attached to node 4
     F_4 : path 1-2-3-4, a_1 a_2 long, a_3 a_4 short
     G_2 : a_1 short, a_2 long
-
-Signed-root encoding used throughout the package: a nonnegative index r
-denotes the positive root positive_roots[r]; the bitwise complement ~r
-denotes its negative.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 
 from ._record import record
@@ -68,9 +63,10 @@ _SERIES_BY_LACING = {1: "ADE", 2: "BCF", 3: "G"}
 
 # Root systems with more positive roots are refused before construction,
 # which costs about rank times the number of positive roots in time and
-# memory: A60 (1,830 roots) takes about 0.06 s and the largest type
-# accepted, A199 (19,900 roots), about 2 s and 85 MB of peak RSS on a
-# 2-core x86-64 VM under CPython 3.11; every refused type takes more.
+# memory: A60 (1,830 roots) takes about 0.05 s, and `weyl order` on the
+# largest type accepted, A199 (19,900 roots), about 1.5 s and 49 MB of
+# peak RSS on a 2-core x86-64 VM under CPython 3.11; every refused type
+# takes more.
 _MAX_POSITIVE_ROOTS = 20_000
 
 
@@ -149,17 +145,9 @@ def cartan_matrix(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
 
 
 class RootSystem:
-    """Immutable closed root system with simple-reflection tables."""
+    """Immutable root system: its type, Cartan matrix and ordered positive roots."""
 
-    __slots__ = (
-        "ctype",
-        "cartan",
-        "positive_roots",
-        "rank",
-        "num_positive",
-        "simple_reflection_tables",
-        "_signed_tables",
-    )
+    __slots__ = ("ctype", "cartan", "positive_roots", "rank", "num_positive")
 
     def __init__(self, ctype: CartanType):
         count = _POSITIVE_ROOTS[ctype.series](ctype.rank)
@@ -171,25 +159,8 @@ class RootSystem:
         self.ctype = ctype
         self.cartan = cartan_matrix(ctype)
         self.rank = ctype.rank
-        self.positive_roots, self.simple_reflection_tables = _close_positive_roots(
-            self.cartan
-        )
+        self.positive_roots = _close_positive_roots(self.cartan)
         self.num_positive = len(self.positive_roots)
-        self._signed_tables = None
-
-    @property
-    def signed_reflection_tables(self) -> tuple[tuple[int, ...], ...]:
-        """Each simple reflection table extended to the negative roots.
-
-        ``table + (~table[n-1], ..., ~table[0])``: Python's negative
-        indexing then sends ~r to ~table[r], so one lookup maps a signed
-        root.  Built on first use.
-        """
-        if self._signed_tables is None:
-            self._signed_tables = tuple(
-                signed_table(t) for t in self.simple_reflection_tables
-            )
-        return self._signed_tables
 
     def node_set(self) -> frozenset[int]:
         return frozenset(range(1, self.rank + 1))
@@ -204,49 +175,47 @@ class RootSystem:
         return f"RootSystem({self.ctype}, {self.num_positive} positive roots)"
 
 
-def signed_table(table: tuple[int, ...]) -> tuple[int, ...]:
-    """A signed permutation of the positive roots, indexable by ~r too."""
-    return table + tuple(map(operator.invert, reversed(table)))
+def raising_reflections(
+    cartan: Sequence[Sequence[int]],
+) -> Callable[[tuple[int, ...]], Iterator[tuple[int, tuple[int, ...]]]]:
+    """v -> (j, s_j(v)) for each wall j whose reflection raises the root v.
 
-
-def _close_positive_roots(cartan):
-    """The positive roots in graded-lex order and the simple reflection tables.
-
-    Closes the simple roots under the simple reflections, recording every
-    image that moves on the way.  s_j changes only coordinate j, by the
-    pairing of v with coroot j, which reads the nonzero entries of Cartan
-    column j; so s_j(v) is positive iff its coordinate j is, and the one
-    negative image is s_j(a_j) = -a_j.
+    s_j changes only coordinate j, by minus the pairing of v with coroot
+    j, which reads the nonzero entries of Cartan column j; so s_j(v) is
+    higher than v iff that coordinate grows.  Every positive root of
+    height above one is raised from a lower one, and s_j lowers every
+    positive root it does not raise or fix, bar a_j itself, which it
+    negates.
     """
-    n = len(cartan)
-    columns = [[(i, row[j]) for i, row in enumerate(cartan) if row[j]] for j in range(n)]
-    simples = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    # moved[v] maps each wall j with s_j(v) != v to coordinate j of s_j(v)
-    moved: dict[tuple[int, ...], dict[int, int]] = {a: {} for a in simples}
-    found = list(simples)
-    for v in found:  # the loop also walks the roots appended to found
-        images = moved[v]
+    columns = [
+        [(i, row[j]) for i, row in enumerate(cartan) if row[j]] for j in range(len(cartan))
+    ]
+
+    def raised(v):
         for j, column in enumerate(columns):
             x = v[j]
             for i, c in column:
                 x -= c * v[i]
-            if x != v[j]:
-                images[j] = x
-                w = v[:j] + (x,) + v[j + 1 :]
-                if x >= 0 and w not in moved:
-                    moved[w] = {}
-                    found.append(w)
+            if x > v[j]:
+                yield j, v[:j] + (x,) + v[j + 1 :]
+
+    return raised
+
+
+def _close_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
+    """The positive roots in graded-lex order: the simple roots closed
+    under the raising simple reflections."""
+    n = len(cartan)
+    raised = raising_reflections(cartan)
+    found = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    seen = set(found)
+    for v in found:  # the loop also walks the roots appended to found
+        for _, w in raised(v):
+            if w not in seen:
+                seen.add(w)
+                found.append(w)
     # graded lexicographic: height first, then coordinates
-    roots = tuple(sorted(found, key=lambda v: (sum(v), v)))
-    index = {v: r for r, v in enumerate(roots)}
-    # every table starts as the identity, sharing the int objects of index
-    tables = [list(index.values()) for _ in columns]
-    for r, v in enumerate(roots):
-        for j, x in moved[v].items():
-            tables[j][r] = index[v[:j] + (x,) + v[j + 1 :]] if x >= 0 else ~r
-    for j, table in enumerate(tables):  # one list at a time, to bound peak memory
-        tables[j] = tuple(table)
-    return roots, tuple(tables)
+    return tuple(sorted(found, key=lambda v: (sum(v), v)))
 
 
 @lru_cache(maxsize=None)
@@ -357,7 +326,7 @@ def sub_diagram_type(rs: RootSystem, nodes: Iterable[int]) -> list[CartanType]:
         sub = [[a[p - 1][q - 1] for q in comp] for p in comp]
         k = len(comp)
         lacing = max((sub[i][j] * sub[j][i] for j in range(k) for i in range(j)), default=1)
-        roots = len(_close_positive_roots(sub)[0])
+        roots = len(_close_positive_roots(sub))
         series = next(
             s for s in _SERIES_BY_LACING[lacing]
             if _SERIES_RANKS[s](k) and _POSITIVE_ROOTS[s](k) == roots

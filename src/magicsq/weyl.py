@@ -3,11 +3,12 @@
 What the commands and ``verify`` enumerate, they walk on one
 representation, the W-orbit of a weight (below).  Where a representative
 w must be named, it is named by l(w) and its images of the simple roots,
-as signed root indices (see rootsys for the encoding: nonnegative index
-= positive root, bitwise complement = its negative); the simple roots
-are a basis, so they fix w.  Whole elements as signed-root permutations,
-with their descents and reduced words, are the tests' reference
-(``tests/_reference.py``), not part of the package.
+as signed root indices; the simple roots are a basis, so they fix w.
+Signed-root encoding: a nonnegative index r denotes the positive root
+positive_roots[r]; the bitwise complement ~r denotes its negative.
+Whole elements as signed-root permutations, with their descents and
+reduced words, are the tests' reference (``tests/_reference.py``), not
+part of the package.
 
 The length generating function of a quotient W/W_J is computed in closed
 form by ``quotient_poly``: Solomon's product of [d]_t over the degrees of
@@ -28,7 +29,9 @@ there.  The counts cross-check ``quotient_poly`` in the tests and in
 W.lambda_J is smaller: a cell of W_I\\W/W_J is an orbit vector of
 W.lambda_J dominant on the left nodes I, or, through the inversion
 w -> w^-1 onto W_J\\W/W_I, an orbit vector of W.lambda_I dominant on J.
-Each walked vector carries its rep's images of the simple roots, on
+Each walked vector carries its rep's images of the simple roots: on
+W.lambda_J gathered through the simple reflections as signed root
+permutations (``_signed_reflections``, built for that walk alone), on
 W.lambda_I packed into one int (``_InversePacking``).
 
 Given a diagram automorphism sigma, ``coset_length_counts`` keeps only
@@ -52,7 +55,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from ._record import record
 from .polyring import IntPoly, eval_rational
-from .rootsys import DiagramAut, RootSystem
+from .rootsys import DiagramAut, RootSystem, raising_reflections
 
 # Index limits of _check_index: the enumerations that return an item per
 # coset or cell (minimal_coset_reps, double_cosets) and the bare orbit count.
@@ -72,8 +75,30 @@ class DoubleCosetCell:
     star_invariant: bool
 
 
+def _signed_reflections(rs: RootSystem) -> list[tuple[int, ...]]:
+    """Each simple reflection s_j as a signed permutation of the roots.
+
+    ``table + (~table[n-1], ..., ~table[0])``, with table[r] the signed
+    index of s_j(positive_roots[r]): Python's negative indexing then sends
+    ~r to ~table[r], so one lookup maps a signed root.  s_j swaps each
+    root it raises with the raised image, negates a_j and fixes the rest.
+    """
+    roots = rs.positive_roots
+    index = {v: r for r, v in enumerate(roots)}
+    tables = [list(range(len(roots))) for _ in range(rs.rank)]
+    raised = raising_reflections(rs.cartan)
+    for r, v in enumerate(roots):
+        for j, w in raised(v):
+            up = index[w]
+            tables[j][r], tables[j][up] = up, r
+    for j, table in enumerate(tables):
+        a_j = rs.rank - 1 - j  # the height-one roots come first, a_rank first
+        table[a_j] = ~a_j
+    return [tuple(t) + tuple(map(operator.invert, reversed(t))) for t in tables]
+
+
 def _compose(signed: tuple[int, ...], action: tuple[int, ...]) -> tuple[int, ...]:
-    """The action of u * w, given signed_table(u's action) and w's action.
+    """The action of u * w, given u's signed table and w's action.
 
     One C-level gather; itemgetter returns a bare item, not a 1-tuple,
     for a single index (A1).
@@ -390,11 +415,11 @@ def double_cosets(
     kept_pos = [i - 1 for i in sorted(kept_nodes)]
     mask = packing.sign_mask(kept_pos)
     rank = rs.rank
-    signed = rs.signed_reflection_tables
     # each vector carries its minimal rep, s_i times its parent's (any
     # parent: reps are unique); on W.lambda_J as images of the simple roots,
     # on W.lambda_I as v^-1 for the walked v, packed: (s_i v)^-1 = v^-1 s_i
     inverse = _InversePacking(rs) if swap else None
+    signed = None if swap else _signed_reflections(rs)
     ident = inverse.identity if swap else tuple(range(rank))
     level = {packing.pack(0 if (i + 1) in walked_nodes else 1 for i in range(rank)): ident}
     walked = length = 0

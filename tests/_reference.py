@@ -2,9 +2,11 @@
 
 magicsq names a Weyl group element w only by l(w) and its images of the
 simple roots.  Here an element is its whole action on the signed root
-set (see rootsys for the encoding: nonnegative index = positive root,
+set (see weyl for the encoding: nonnegative index = positive root,
 bitwise complement = its negative), with the length, descents, products
-and reduced words read off that action.  The minimal coset reps of a
+and reduced words read off that action.  The simple reflections are
+built here from the roots and the Cartan matrix (``reflection_tables``),
+with no table code from the package.  The minimal coset reps of a
 quotient come from a breadth-first search over these permutations
 (``_coset_bfs``), which shares nothing with the package's orbit walk.
 The chain polynomial, the Kilmoyer and transposed double-coset
@@ -18,6 +20,7 @@ only the tests read.
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -28,7 +31,6 @@ from magicsq.rootsys import (
     CartanType,
     RootSystem,
     build_root_system,
-    signed_table,
     twist_aut,
 )
 from magicsq.weyl import (
@@ -38,6 +40,30 @@ from magicsq.weyl import (
     parabolic_order,
     weyl_order,
 )
+
+
+def signed_table(table: tuple[int, ...]) -> tuple[int, ...]:
+    """A signed permutation of the positive roots, indexable by ~r too."""
+    return table + tuple(map(operator.invert, reversed(table)))
+
+
+@functools.cache
+def reflection_tables(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """s_j on the positive roots as signed indices, one table per node j.
+
+    s_j(v) = v - <v, a_j^v> a_j, with <v, a_j^v> = sum_i v_i cartan[i][j].
+    """
+    roots = rs.positive_roots
+    where = {v: r for r, v in enumerate(roots)}
+    where.update({tuple(-c for c in v): ~r for r, v in enumerate(roots)})
+    tables = []
+    for j in range(rs.rank):
+        table = []
+        for v in roots:
+            pairing = sum(c * row[j] for c, row in zip(v, rs.cartan))
+            table.append(where[tuple(c - pairing * (k == j) for k, c in enumerate(v))])
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 @record
@@ -87,7 +113,7 @@ def identity(rs: RootSystem) -> WeylElement:
 def simple_reflection(rs: RootSystem, node: int) -> WeylElement:
     if not 1 <= node <= rs.rank:
         raise ValueError(f"node {node} out of range")
-    return WeylElement(rs.simple_reflection_tables[node - 1])
+    return WeylElement(reflection_tables(rs)[node - 1])
 
 
 def right_descents(rs: RootSystem, w: WeylElement) -> frozenset[int]:
@@ -101,7 +127,7 @@ def reduced_word(rs: RootSystem, w: WeylElement) -> list[int]:
     """One reduced word for w, by repeatedly peeling the smallest right descent."""
     word: list[int] = []
     act = w.action
-    tables = rs.simple_reflection_tables
+    tables = reflection_tables(rs)
     while True:
         for i in range(rs.rank):
             if act[simple_root_index(rs, i + 1)] < 0:
@@ -125,7 +151,7 @@ def _coset_bfs(
     descent inside reduced_nodes.  Every minimal representative of length
     l+1 arises from one of length l this way, so levels are complete.
     """
-    tables = [rs.signed_reflection_tables[i - 1] for i in generator_nodes]
+    tables = [signed_table(reflection_tables(rs)[i - 1]) for i in generator_nodes]
     reduced = _picker([simple_root_index(rs, j) for j in sorted(reduced_nodes)])
     ident = tuple(range(rs.num_positive))
     seen = {ident}
@@ -299,9 +325,7 @@ def sigma_fixed_reference(fv):
     """
     rs = build_root_system(fv.ambient)
     sigma = twist_aut(rs)
-    sigma_tables = [
-        rs.simple_reflection_tables[sigma(i) - 1] for i in range(1, rs.rank + 1)
-    ]
+    sigma_tables = [reflection_tables(rs)[sigma(i) - 1] for i in range(1, rs.rank + 1)]
     counts = {}
     for _, action in coset_actions(rs, fv.levi_nodes):
         w = WeylElement(action)

@@ -10,5 +10,4 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
 
-hypothesis.settings.register_profile("fast", max_examples=25)
 hypothesis.settings.register_profile("thorough", max_examples=500)

@@ -157,6 +157,12 @@ def test_express_residual_preconditions():
         express_residual(IntPoly([1]), [IntPoly([1, -1])])
 
 
+def test_express_residual_places_more_blocks_than_the_recursion_limit():
+    # one frame per placed block, on an explicit stack
+    witness = express_residual(IntPoly([1] * 6000), [IntPoly([1])])
+    assert witness == [(0, shift) for shift in range(6000)]
+
+
 def test_express_residual_shift_normalized_block():
     # block t^2 * (1 + t) placed at effective shift e - valuation
     block = IntPoly([0, 0, 1, 1])

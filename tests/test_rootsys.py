@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from magicsq import rootsys
+from magicsq import rootsys, weyl
 from magicsq.rootsys import (
     CartanType,
     build_root_system,
@@ -14,7 +14,7 @@ from magicsq.rootsys import (
     twist_aut,
 )
 
-from _reference import root_system_to_json, simple_root_index
+from _reference import reflection_tables, root_system_to_json, signed_table, simple_root_index
 
 # classical positive-root counts
 COUNTS = {
@@ -76,7 +76,10 @@ def test_deterministic_graded_lex_order(label):
 def test_reflection_tables_are_signed_permutations(label):
     rs = build_root_system(CartanType.from_string(label))
     n = rs.num_positive
-    for i, tab in enumerate(rs.simple_reflection_tables):
+    tables = reflection_tables(rs)
+    # the package builds the same tables for the walk of double_cosets
+    assert weyl._signed_reflections(rs) == [signed_table(tab) for tab in tables]
+    for i, tab in enumerate(tables):
         # bijective on the signed set, and an involution
         images = {x for x in tab} | {~x for x in tab}
         assert len(images) == 2 * n
@@ -189,7 +192,7 @@ def _minus_w0_from_longest_element(rs):
     simple = [simple_root_index(rs, i) for i in range(1, rs.rank + 1)]
     act = list(range(rs.num_positive))
     while True:
-        for r, table in zip(simple, rs.simple_reflection_tables):
+        for r, table in zip(simple, reflection_tables(rs)):
             if act[r] >= 0:
                 act = [act[x] if x >= 0 else ~act[~x] for x in table]
                 break

@@ -169,6 +169,31 @@ def test_cli_fixture_override_and_failure_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_fixture_with_a_5040_term_witness(tmp_path, capsys):
+    # the A6 Borel variety is 5040 Tate terms, one placement each
+    doc = {
+        "version": 1,
+        "fixtures": [
+            {
+                "name": "deep",
+                "kind": "residual-expressible",
+                "claim": "the split A6 Borel variety is a sum of Tate motives",
+                "total": {"poincare": {"type": "A6", "variety": [1, 2, 3, 4, 5, 6]}},
+                "subtract": [],
+                "blocks": [[1]],
+                "min_shift": 0,
+            }
+        ],
+    }
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "--fixtures", str(path), "cgmb", "check", "--fixture", "deep")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload["witness_terms"] == 5040
+
+
 def test_cli_poincare_round_trip(capsys):
     code, out = run_cli(capsys, "poincare", "--type", "E6", "--variety", "2")
     assert code == 0

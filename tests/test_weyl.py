@@ -572,6 +572,22 @@ def test_double_cosets_answer_isotropic_kernels():
             assert {c.orbit_size for c in cells} == {23040}
 
 
+def test_only_the_walk_of_w_lambda_j_builds_reflection_tables(monkeypatch):
+    def no_tables(rs):
+        raise AssertionError("the walk of W.lambda_I built reflection tables")
+
+    real = weyl._signed_reflections
+    # kernel D6 against the Borel variety: the left orbit is walked
+    monkeypatch.setattr(weyl, "_signed_reflections", no_tables)
+    cells = double_cosets(_rs("E7"), range(2, 8), ())
+    assert len(cells) == 126 and {c.orbit_size for c in cells} == {23040}
+    # |W/W_I| = 2160 against |W/W_J| = 72: the right orbit is walked
+    built = []
+    monkeypatch.setattr(weyl, "_signed_reflections", lambda rs: built.append(rs) or real(rs))
+    double_cosets(_rs("E6"), {3, 4, 5}, {1, 3, 4, 5, 6})
+    assert built == [_rs("E6")]
+
+
 def test_f4_quotients_match_classical_counts():
     rs = _rs("F4")
     for levi, count, dim in (({1, 2, 3}, 24, 15), ({2, 3, 4}, 24, 15)):
