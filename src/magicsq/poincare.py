@@ -21,8 +21,6 @@ The same orbit walk reads it off, keeping the sigma-fixed orbit vectors.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import weyl
 from ._record import record
 from .polyring import IntPoly
@@ -57,7 +55,6 @@ class FlagVariety:
         return frozenset(range(1, self.ambient.rank + 1)) - self.parabolic_type
 
 
-@lru_cache(maxsize=None)
 def poincare_poly(fv: FlagVariety) -> IntPoly:
     """Sum of t^l(w) over minimal coset representatives of W/W_Levi."""
     return weyl.quotient_poly(build_root_system(fv.ambient), fv.levi_nodes)
@@ -69,7 +66,6 @@ def dim_flag(fv: FlagVariety) -> int:
     return weyl.longest_element_length(rs, fv.levi_nodes)
 
 
-@lru_cache(maxsize=None)
 def conormed_poincare(fv: FlagVariety) -> IntPoly:
     """Sum of t^l(w) over the sigma-fixed minimal coset reps of W/W_Levi.
 

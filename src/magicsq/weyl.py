@@ -20,11 +20,10 @@ answers every quotient, E8 included.
 weight lambda_J with stabilizer W_J on weight coordinates, breadth-first,
 two levels at a time, each vector packed into one int (``_Packing``).
 The packing is linear, so a reflection s_i is one multiply-subtract,
-u - mu_i * row_i with row_i the packed Cartan row of node i.  The count
-walk (``_orbit_levels``) makes each vector once, from its parent across
-its first negative coordinate, so a level is a list with no dedup;
-``double_cosets`` dedups each level in a dict, which measured faster
-there.  The counts cross-check ``quotient_poly`` in the tests and in
+u - mu_i * row_i with row_i the packed Cartan row of node i.  Both walks
+make each vector once, from its parent across its first negative
+coordinate (``_orbit_levels``), so a level is a list with no dedup.
+The counts cross-check ``quotient_poly`` in the tests and in
 ``verify``.  ``double_cosets`` walks whichever of W.lambda_I and
 W.lambda_J is smaller: a cell of W_I\\W/W_J is an orbit vector of
 W.lambda_J dominant on the left nodes I, or, through the inversion
@@ -415,28 +414,33 @@ def double_cosets(
     kept_pos = [i - 1 for i in sorted(kept_nodes)]
     mask = packing.sign_mask(kept_pos)
     rank = rs.rank
-    # each vector carries its minimal rep, s_i times its parent's (any
-    # parent: reps are unique); on W.lambda_J as images of the simple roots,
-    # on W.lambda_I as v^-1 for the walked v, packed: (s_i v)^-1 = v^-1 s_i
+    # each vector is made once, from its parent across its first negative
+    # wall (as in _orbit_levels), and carries its minimal rep, s_i times its
+    # parent's, in a parallel list: on W.lambda_J as images of the simple
+    # roots, on W.lambda_I as v^-1 for the walked v, packed: (s_i v)^-1 = v^-1 s_i
     inverse = _InversePacking(rs) if swap else None
     signed = None if swap else _signed_reflections(rs)
-    ident = inverse.identity if swap else tuple(range(rank))
-    level = {packing.pack(0 if (i + 1) in walked_nodes else 1 for i in range(rank)): ident}
+    firsts = [packing.sign_mask(range(i)) for i in range(rank)]
+    level = [packing.pack(0 if (i + 1) in walked_nodes else 1 for i in range(rank))]
+    reps = [inverse.identity if swap else tuple(range(rank))]
     walked = length = 0
     dominant: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     while level:
         walked += len(level)
-        nxt: dict = {}
-        for u, rep in level.items():
+        nxt, nxt_reps = [], []
+        for u, rep in zip(level, reps):
             mu = fields(u)
             if (u & mask) == mask:
                 dominant.append((length, inverse.images(rep) if swap else rep, mu))
             for i, f in enumerate(mu):
                 if f > bias:
                     v = u - (f - bias) * rows[i]
-                    if v not in nxt:
-                        nxt[v] = inverse.reflect(rep, i) if swap else _compose(signed[i], rep)
-        level = nxt
+                    if v & firsts[i] == firsts[i]:
+                        nxt.append(v)
+                        nxt_reps.append(
+                            inverse.reflect(rep, i) if swap else _compose(signed[i], rep)
+                        )
+        level, reps = nxt, nxt_reps
         length += 1
     permute = None if star is None else _picker([star(i + 1) - 1 for i in range(rank)])
     # the size depends only on the kept coordinates, which take few values

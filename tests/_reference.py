@@ -5,15 +5,18 @@ simple roots.  Here an element is its whole action on the signed root
 set (see weyl for the encoding: nonnegative index = positive root,
 bitwise complement = its negative), with the length, descents, products
 and reduced words read off that action.  The simple reflections are
-built here from the roots and the Cartan matrix (``reflection_tables``),
-with no table code from the package.  The minimal coset reps of a
+built here from the roots and the Cartan matrix (``reflection_tables``)
+and composed by this module's own gather (``_compose``), with no table
+or gather code from the package.  The minimal coset reps of a
 quotient come from a breadth-first search over these permutations
 (``_coset_bfs``), which shares nothing with the package's orbit walk.
 The chain polynomial, the Kilmoyer and transposed double-coset
 references and the sigma-fixed conormed reference build on it; the
 tests and ``scripts/borel_series_check.py`` compare the package against
-them.  This module imports only magicsq, so the script runs without the
-test extras.  Also here: the golden-file forms of a root system and a
+them.  Outside W altogether, ``unitary_flag_count`` counts the F_2-points
+of the flag varieties of 2A_n as flags of totally isotropic subspaces of
+a Hermitian space over F_4.  This module imports only magicsq, so the
+script runs without the test extras.  Also here: the golden-file forms of a root system and a
 polynomial, a simple root's index and a polynomial's coefficient, which
 only the tests read.
 """
@@ -33,18 +36,17 @@ from magicsq.rootsys import (
     build_root_system,
     twist_aut,
 )
-from magicsq.weyl import (
-    _compose,
-    _picker,
-    length_counts_to_poly,
-    parabolic_order,
-    weyl_order,
-)
+from magicsq.weyl import length_counts_to_poly, parabolic_order, weyl_order
 
 
 def signed_table(table: tuple[int, ...]) -> tuple[int, ...]:
     """A signed permutation of the positive roots, indexable by ~r too."""
     return table + tuple(map(operator.invert, reversed(table)))
+
+
+def _compose(signed: tuple[int, ...], action: tuple[int, ...]) -> tuple[int, ...]:
+    """The action of u * w, given u's signed table and w's action."""
+    return tuple(map(signed.__getitem__, action))
 
 
 @functools.cache
@@ -152,7 +154,7 @@ def _coset_bfs(
     l+1 arises from one of length l this way, so levels are complete.
     """
     tables = [signed_table(reflection_tables(rs)[i - 1]) for i in generator_nodes]
-    reduced = _picker([simple_root_index(rs, j) for j in sorted(reduced_nodes)])
+    reduced = [simple_root_index(rs, j) for j in sorted(reduced_nodes)]
     ident = tuple(range(rs.num_positive))
     seen = {ident}
     level = [ident]
@@ -166,7 +168,7 @@ def _coset_bfs(
                 u = _compose(tab, act)
                 if u in seen or u in nxt:
                     continue
-                if min(reduced(u), default=0) >= 0:
+                if min(map(u.__getitem__, reduced), default=0) >= 0:
                     nxt.add(u)
         seen.update(nxt)
         level = sorted(nxt)
@@ -335,6 +337,60 @@ def sigma_fixed_reference(fv):
         if conj == w.action:
             counts[w.length] = counts.get(w.length, 0) + 1
     return length_counts_to_poly(counts)
+
+
+def _f4_mul(x: int, y: int) -> int:
+    """Product in F_4 = F_2[a]/(a^2 + a + 1), an element as the bits of b0 + b1 a."""
+    out = 0
+    for k in range(2):
+        if y >> k & 1:
+            out ^= x << k
+    return out ^ 0b111 if out & 0b100 else out
+
+
+def unitary_flag_count(n: int, circled: Iterable[int]) -> int:
+    """F_2-points of the flag variety X_I of 2A_n, counted as linear algebra.
+
+    The quasi-split unitary group of 2A_n over F_2 preserves the Hermitian
+    form sum x_i conj(x_i) on F_4^(n+1), with conj(x) = x^2.  A sigma-stable
+    circled set I names the flags of totally isotropic subspaces of the
+    dimensions min(i, n + 1 - i), i in I; this counts them, subspace by
+    subspace, with no root system and no Weyl group.
+    """
+    conj = [_f4_mul(x, x) for x in range(4)]
+
+    def form(u, v):
+        out = 0
+        for x, y in zip(u, v):
+            out ^= _f4_mul(x, conj[y])
+        return out
+
+    vectors = list(itertools.product(range(4), repeat=n + 1))
+    isotropic = [v for v in vectors if any(v) and form(v, v) == 0]
+    dims = sorted({min(i, n + 1 - i) for i in circled})
+    # totally isotropic subspaces, as sets of vectors, one dimension at a time
+    spaces = {0: [frozenset({(0,) * (n + 1)})]}
+    for d in range(1, dims[-1] + 1):
+        grown = set()
+        for space in spaces[d - 1]:
+            covered = set(space)  # the vectors of the spaces grown from it
+            for v in isotropic:
+                if v not in covered and all(form(v, u) == 0 for u in space):
+                    span = frozenset(
+                        tuple(x ^ _f4_mul(c, y) for x, y in zip(u, v))
+                        for u in space for c in range(4)
+                    )
+                    covered |= span
+                    grown.add(span)
+        spaces[d] = list(grown)
+    # chains ending at each subspace of the current dimension
+    chains = {space: 1 for space in spaces[dims[0]]}
+    for d in dims[1:]:
+        chains = {
+            space: sum(k for sub, k in chains.items() if sub <= space)
+            for space in spaces[d]
+        }
+    return sum(chains.values())
 
 
 def root_system_to_json(rs: RootSystem) -> dict:

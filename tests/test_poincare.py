@@ -27,7 +27,12 @@ from magicsq.weyl import (
     weyl_order,
 )
 
-from _reference import coefficient, sigma_fixed_reference, sigma_stable_varieties
+from _reference import (
+    coefficient,
+    sigma_fixed_reference,
+    sigma_stable_varieties,
+    unitary_flag_count,
+)
 
 P_X2_SPLIT = (1, 1, 1, 2, 3, 3, 4, 5, 5, 5, 6, 6, 5, 5, 5, 4, 3, 3, 2, 1, 1, 1)
 P_X16_SPLIT = (
@@ -213,6 +218,31 @@ def test_conormed_matches_permutation_reference():
         assert conormed_poincare(fv) == sigma_fixed_reference(fv), fv
 
 
+# F_2-points of every sigma-stable variety of 2A2..2A4: flags of totally
+# isotropic subspaces of F_4^(n+1) under sum x_i conj(x_i)
+UNITARY_FLAG_COUNTS = {
+    ("2A2", (1, 2)): 9,
+    ("2A3", (2,)): 27,
+    ("2A3", (1, 3)): 45,
+    ("2A3", (1, 2, 3)): 135,
+    ("2A4", (1, 4)): 165,
+    ("2A4", (2, 3)): 297,
+    ("2A4", (1, 2, 3, 4)): 1485,
+}
+
+
+def test_conormed_counts_the_points_of_the_unitary_flag_varieties():
+    cases = [fv for label in ("2A2", "2A3", "2A4") for fv in sigma_stable_varieties(label, 10**6)]
+    assert sorted((str(fv.ambient), tuple(sorted(fv.parabolic_type))) for fv in cases) == sorted(
+        UNITARY_FLAG_COUNTS
+    )
+    for fv in cases:
+        circled = tuple(sorted(fv.parabolic_type))
+        points = unitary_flag_count(fv.ambient.rank, circled)
+        assert points == UNITARY_FLAG_COUNTS[str(fv.ambient), circled]
+        assert conormed_poincare(fv)(2) == points, fv
+
+
 # Steinberg: the degree-d invariant of W is an eigenvector of sigma with
 # eigenvalue eps_d; the eps_d = -1 degrees are listed here.
 NEGATIVE_EPSILON_DEGREES = {
@@ -242,9 +272,3 @@ def test_conormed_borel_matches_steinberg(label):
     assert borel == eval_rational(num, den)
     if label == "2E6":
         assert borel(1) == 1152  # |W(F4)|: sigma-fixed points of W(E6)
-
-
-def test_memoized_results_are_stable():
-    a = poincare_poly(_fv("E6", {2}))
-    b = poincare_poly(_fv("E6", {2}))
-    assert a is b

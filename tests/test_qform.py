@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,6 +88,33 @@ def test_killing_form_gamma_signs_enter_through_pairwise_products():
     # the global negation
     assert mixed == DiagFormR(64, 69)
     assert mixed.witt_index == 64
+
+
+# dim k of a maximal compact subalgebra of each real form of E7 (Helgason,
+# Differential Geometry, Lie Groups, and Symmetric Spaces, 1978, ch. X):
+# E V su(8), E VI so(12) + su(2), E VII e6 + R, and the compact form
+E7_MAXIMAL_COMPACT_DIMS = {"E7(7)": 63, "E7(-5)": 66 + 3, "E7(-25)": 78 + 1, "E7(-133)": 133}
+
+
+def test_killing_form_signatures_are_the_characters_of_the_real_forms_of_e7():
+    # the Killing form is negative on k and positive on p, so its signature
+    # is the character dim p - dim k = 133 - 2 dim k of the real form
+    characters = {
+        name: 133 - 2 * dim_k for name, dim_k in E7_MAXIMAL_COMPACT_DIMS.items()
+    }
+    assert characters == {"E7(7)": 7, "E7(-5)": -5, "E7(-25)": -25, "E7(-133)": -133}
+    by_algebras = collections.defaultdict(collections.Counter)
+    for q_definite, o_definite, gamma, form in killing_grid():
+        by_algebras[q_definite, o_definite][form.signature] += 1
+        if form.signature == -133:
+            assert gamma in {(1, 1, 1), (-1, -1, -1)}
+    assert by_algebras == {
+        (False, False): {7: 8},
+        (True, False): {-5: 8},
+        (False, True): {-25: 8},
+        (True, True): {-5: 6, -133: 2},
+    }
+    assert {s for counts in by_algebras.values() for s in counts} == set(characters.values())
 
 
 def test_killing_form_argument_validation():

@@ -17,6 +17,7 @@ import magicsq
 from magicsq import _data, verify
 from magicsq.cli import _emit_json, main
 from magicsq.polyring import MAX_DEGREE, parse_poly
+from magicsq.rootsys import build_root_system
 from magicsq.verify import CheckResult, VerifyReport, fixture_names, run_fixture, run_verify
 
 from _reference import from_json_dict
@@ -42,6 +43,20 @@ def test_run_verify_filter():
     report = run_verify("dims-*")
     assert [c.name for c in report.checks] == ["dims-x16-e6", "dims-x2-e6", "dims-y1-e7"]
     assert report.all_pass
+
+
+def test_every_check_gives_the_same_result_alone():
+    # no check may lean on what an earlier one computed: each runs alone,
+    # with the one package cache (root systems) emptied first
+    full = {c.name: c for c in run_verify().checks}
+    assert sorted(full) == verify.check_names()
+    for name in verify.check_names():
+        build_root_system.cache_clear()
+        (alone,) = run_verify(name).checks
+        assert (alone.name, alone.expected, alone.actual, alone.passed) == (
+            name, full[name].expected, full[name].actual, full[name].passed,
+        )
+        assert alone.passed
 
 
 def _randint_fuzz_cases(randint):
