@@ -18,9 +18,10 @@ cosets of the weight-orbit route ``double_cosets`` against the Kilmoyer
 reference, cell by cell: minimal representative (rebuilt from the
 cell's images of the simple roots by ``full_action``), size and star
 invariance.  Fourth, for every sigma-stable variety of index <= 2e4
-over TWISTED_TYPES, the conormed polynomial (the sigma-fixed orbit
-vectors of the walk) against the sigma-fixed reference (the minimal
-coset reps whose sigma-mapped reduced word multiplies back to them).
+over TWISTED_TYPES, the conormed polynomial (Steinberg's closed form,
+``quotient_poly`` with the twist) against the sigma-fixed reference
+(the minimal coset reps whose sigma-mapped reduced word multiplies back
+to them).
 Fifth, the third sweep with the bound on I: for every pair (I, J) with
 |W/W_I| <= 2e4 < |W/W_J| over TRANSPOSED_TYPES, with the opposition
 involution as star wherever it fixes I and J, the double cosets, which
@@ -194,26 +195,26 @@ def check_double_cosets(bounded):
 
 def check_conormed():
     cases = 0
-    orbit_s = reference_s = 0.0
+    formula_s = reference_s = 0.0
     for label in TWISTED_TYPES:
         checked = 0
         for fv in sigma_stable_varieties(label, TWISTED_MAX_INDEX):
             t0 = time.perf_counter()
-            by_orbit = conormed_poincare(fv)
+            by_formula = conormed_poincare(fv)
             t1 = time.perf_counter()
             by_reference = sigma_fixed_reference(fv)
             t2 = time.perf_counter()
-            orbit_s += t1 - t0
+            formula_s += t1 - t0
             reference_s += t2 - t1
-            if by_orbit != by_reference:
+            if by_formula != by_reference:
                 raise AssertionError(
-                    f"{label} X_{sorted(fv.parabolic_type)}: orbit route != reference"
+                    f"{label} X_{sorted(fv.parabolic_type)}: formula != reference"
                 )
             checked += 1
         print(f"{label:3}  {checked:3} sigma-stable varieties ok")
         cases += checked
-    print(f"{cases} conormed polynomials of index <= {TWISTED_MAX_INDEX:,}: orbit "
-          f"route {orbit_s:.2f}s, permutation reference {reference_s:.2f}s")
+    print(f"{cases} conormed polynomials of index <= {TWISTED_MAX_INDEX:,}: formula "
+          f"{formula_s:.2f}s, permutation reference {reference_s:.2f}s")
 
 
 def main():

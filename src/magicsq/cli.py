@@ -82,8 +82,9 @@ _USAGE_ERROR = 2
 def _emit_json(obj) -> None:
     """Write obj and a newline, as ``json.dumps(obj, sort_keys=True, indent=2)``.
 
-    Takes dicts with str keys, lists, tuples, str, int, float, bool and
-    None; anything else raises TypeError.  json writes indented output
+    Takes dicts with str keys, lists, tuples, and str, int, float, bool
+    and None of exactly those types; anything else, a subclass of str,
+    int or float included, raises TypeError.  json writes indented output
     with its pure-Python encoder, which is slower than this writer.
     """
     out: list[str] = []
@@ -118,7 +119,7 @@ def _json_float(x: float) -> str:
 
 
 _INF = float("inf")
-# exact type -> its json text; subclasses take the isinstance path below
+# exact type -> its json text
 _SCALARS = {
     str: _json_str,
     int: int.__repr__,
@@ -166,12 +167,6 @@ def _json_value(obj, nl: str, put) -> None:
                 _json_value(item, inner, put)
             sep = comma
         put(nl + "]")
-    elif isinstance(obj, str):
-        put(_json_str(obj))
-    elif isinstance(obj, int):
-        put(int.__repr__(obj))
-    elif isinstance(obj, float):
-        put(_json_float(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -305,8 +300,10 @@ def _cmd_poincare(args):
     ctype = rootsys.CartanType.from_string(args.type)
     fv = poincare.FlagVariety(ctype, _nodes(args.variety))
     poly = (poincare.conormed_poincare if args.conormed else poincare.poincare_poly)(fv)
+    # the longest minimal coset rep is sigma-fixed, so both polynomials
+    # have degree dim X
     return dict(_poly_payload(poly), type=args.type, variety=sorted(fv.parabolic_type),
-                conormed=args.conormed, dim=poincare.dim_flag(fv))
+                conormed=args.conormed, dim=poly.degree)
 
 
 def _cmd_jinv(args):

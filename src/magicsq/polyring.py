@@ -14,10 +14,10 @@ that must stay separate:
   nonnegative quotient exists, and downstream consumers rely on exactly
   that gap.
 
-``divides_semiring`` requires a divisor with nonnegative coefficients
-and, after stripping a common power of t, a positive constant term.
-Under that restriction the Z[t] quotient is the only candidate quotient,
-so the semiring decision reduces to one exact division plus a sign scan.
+``divides_semiring`` requires a nonzero divisor with nonnegative
+coefficients.  A quotient in Z[t] is unique, so it is the only candidate
+quotient, and the semiring decision reduces to one exact division plus a
+sign scan.
 It answers "no" without dividing when p has a negative coefficient: a
 product q*r of polynomials with nonnegative coefficients has none.
 """
@@ -296,11 +296,10 @@ def divides_ring(p: IntPoly, q: IntPoly) -> tuple[bool, IntPoly | None]:
 def divides_semiring(p: IntPoly, q: IntPoly) -> tuple[bool, IntPoly | None]:
     """Decide p = q*r with r in N0[t]; on success also return r.
 
-    The divisor must have nonnegative coefficients and, after stripping
-    a common power of t, a positive constant term.  Under that
-    precondition the Z[t] quotient is the unique candidate, so the
-    decision is: exact division, then a nonnegativity scan.  A p with a
-    negative coefficient is refused first, since q*r has none.
+    The divisor must be nonzero with nonnegative coefficients.  A
+    quotient in Z[t] is unique, so the decision is: exact division, then
+    a nonnegativity scan.  A p with a negative coefficient is refused
+    first, since q*r has none.
     """
     qc, pc = q._coeffs, p._coeffs
     if not qc:
@@ -311,12 +310,6 @@ def divides_semiring(p: IntPoly, q: IntPoly) -> tuple[bool, IntPoly | None]:
         return True, IntPoly()
     if min(pc) < 0:
         return False, None
-    if not qc[0]:
-        v = q.valuation()
-        if p.valuation() < v:
-            return False, None
-        p = p.shift(-v)
-        q = q.shift(-v)
     quot = _try_exact_div(p, q)
     if quot is None or min(quot._coeffs) < 0:
         return False, None

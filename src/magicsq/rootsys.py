@@ -295,6 +295,29 @@ def opposition_involution(rs: RootSystem) -> DiagramAut:
     return identity_aut(rs)
 
 
+def components(rs: RootSystem, nodes: Iterable[int]) -> list[list[int]]:
+    """Connected components of the sub-diagram induced on nodes.
+
+    Each component lists its smallest node first and then the nodes it
+    reaches, breadth-first; components come in order of their smallest
+    node.
+    """
+    ns = sorted(rs.check_nodes(nodes))
+    seen: set[int] = set()
+    out = []
+    for start in ns:
+        if start not in seen:
+            comp = [start]
+            seen.add(start)
+            for p in comp:  # the loop also walks the nodes appended to comp
+                for q in ns:
+                    if q not in seen and rs.cartan[p - 1][q - 1]:
+                        seen.add(q)
+                        comp.append(q)
+            out.append(comp)
+    return out
+
+
 def sub_diagram_type(rs: RootSystem, nodes: Iterable[int]) -> list[CartanType]:
     """Connected components of the induced sub-diagram, classified by type.
 
@@ -306,23 +329,9 @@ def sub_diagram_type(rs: RootSystem, nodes: Iterable[int]) -> list[CartanType]:
     three leave only B_k against C_k for k >= 3, and B_k has the short
     end of its double edge at a leaf.
     """
-    ns = sorted(rs.check_nodes(nodes))
     a = rs.cartan
-    adj = {
-        p: [q for q in ns if q != p and a[p - 1][q - 1] != 0] for p in ns
-    }
-    seen: set[int] = set()
     out = []
-    for start in ns:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        for p in comp:  # the loop also walks the nodes appended to comp
-            for q in adj[p]:
-                if q not in seen:
-                    seen.add(q)
-                    comp.append(q)
+    for comp in components(rs, nodes):
         sub = [[a[p - 1][q - 1] for q in comp] for p in comp]
         k = len(comp)
         lacing = max((sub[i][j] * sub[j][i] for j in range(k) for i in range(j)), default=1)
@@ -332,9 +341,10 @@ def sub_diagram_type(rs: RootSystem, nodes: Iterable[int]) -> list[CartanType]:
             if _SERIES_RANKS[s](k) and _POSITIVE_ROOTS[s](k) == roots
         )
         if series == "B" and k > 2:
-            # cartan[i][j] = -2 puts the short root in column j
+            # cartan[i][j] = -2 puts the short root in column j; a leaf's
+            # row has one nonzero entry off the diagonal
             short = next(j for row in sub for j, x in enumerate(row) if x == -2)
-            if len(adj[comp[short]]) > 1:
+            if sum(map(bool, sub[short])) > 2:
                 series = "C"
         out.append(CartanType(series, k))
     return out

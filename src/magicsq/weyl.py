@@ -13,7 +13,11 @@ part of the package.
 The length generating function of a quotient W/W_J is computed in closed
 form by ``quotient_poly``: Solomon's product of [d]_t over the degrees of
 W divided by the same product over the degrees of W_J, read off the
-heights of the roots supported on J.  It enumerates nothing, so it
+heights of the roots supported on J.  Given a diagram automorphism
+sigma, the same function counts only the sigma-fixed minimal coset reps,
+the cells of the quasi-split flag variety, by Steinberg's product of
+t^d - eps_d, with each sign eps_d read off the degrees of one
+sigma-stable component of J at a time.  It enumerates nothing, so it
 answers every quotient, E8 included.
 
 ``coset_length_counts`` and ``double_cosets`` walk the W-orbit of the
@@ -23,7 +27,7 @@ The packing is linear, so a reflection s_i is one multiply-subtract,
 u - mu_i * row_i with row_i the packed Cartan row of node i.  Both walks
 make each vector once, from its parent across its first negative
 coordinate (``_orbit_levels``), so a level is a list with no dedup.
-The counts cross-check ``quotient_poly`` in the tests and in
+The counts cross-check the split ``quotient_poly`` in the tests and in
 ``verify``.  ``double_cosets`` walks whichever of W.lambda_I and
 W.lambda_J is smaller: a cell of W_I\\W/W_J is an orbit vector of
 W.lambda_J dominant on the left nodes I, or, through the inversion
@@ -32,11 +36,6 @@ Each walked vector carries its rep's images of the simple roots: on
 W.lambda_J gathered through the simple reflections as signed root
 permutations (``_signed_reflections``, built for that walk alone), on
 W.lambda_I packed into one int (``_InversePacking``).
-
-Given a diagram automorphism sigma, ``coset_length_counts`` keeps only
-the orbit vectors whose coordinates sigma maps back to themselves: the
-sigma-fixed minimal coset reps, whose lengths count the cells of the
-quasi-split flag variety.
 
 Every enumeration of a quotient, the full group included, checks the
 index |W|/|W_J| at call time (``_check_index``) and refuses one beyond
@@ -54,7 +53,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from ._record import record
 from .polyring import IntPoly, eval_rational
-from .rootsys import DiagramAut, RootSystem, raising_reflections
+from .rootsys import DiagramAut, RootSystem, components, raising_reflections
 
 # Index limits of _check_index: the enumerations that return an item per
 # coset or cell (minimal_coset_reps, double_cosets) and the bare orbit count.
@@ -148,20 +147,70 @@ def parabolic_order(rs: RootSystem, nodes: Iterable[int]) -> int:
     return math.prod(_degrees(rs, nodes))
 
 
-def quotient_poly(rs: RootSystem, parabolic: Iterable[int]) -> IntPoly:
+def _factors(rs: RootSystem, nodes: Iterable[int], sigma: DiagramAut | None) -> Counter:
+    """The sigma-fixed elements of W_J counted by length, as factors.
+
+    Steinberg: prod (t^d - eps_d) over the degrees d of W_J divided by
+    t^|O| - 1 for each sigma-orbit O of J.  The factors t - 1 above and
+    below match in number, since the value at 1 counts the fixed
+    elements, so each t^d - 1 enters as [d]_t, counted under key d, and
+    each t^d + 1 under key -d; a negative count is a factor below.
+    Without sigma every eps_d is 1 and every orbit one node: Solomon's
+    prod [d]_t.  With it, eps comes from the degrees of one connected
+    component K of J at a time: 1 where sigma fixes every node of K;
+    (-1)^d where sigma moves K and W_K has an odd degree, since sigma is
+    -w0 there (A_k, D_odd, E6); on a D_2m whose end nodes sigma swaps,
+    -1 on one degree 2m; and a pair of components that sigma swaps gives
+    (t^d - 1)(t^d + 1) for each degree d of one of them.
+    """
+    if sigma is None:
+        return Counter(_degrees(rs, nodes))
+    out: Counter = Counter()
+    for comp in components(rs, nodes):
+        degrees = _degrees(rs, comp)
+        image = [sigma(i) for i in comp]
+        out.update(degrees)
+        out[2] -= sum(sigma(i) > i for i in comp)  # t^2 - 1 per orbit {i, sigma(i)}
+        if image == comp or min(image) > comp[0]:
+            continue  # sigma fixes every node of K, or K is the first of a swapped pair
+        if image[0] not in comp:  # the second of a swapped pair
+            negative = degrees
+        else:  # sigma is -w0 on K if W_K has an odd degree; K is D_2m otherwise
+            negative = [d for d in degrees if d % 2] or [len(comp)]
+        out.subtract(negative)
+        out.update(-d for d in negative)
+    return out
+
+
+def quotient_poly(
+    rs: RootSystem, parabolic: Iterable[int], sigma: DiagramAut | None = None
+) -> IntPoly:
     """Length generating function of the minimal coset reps of W/W_J.
 
     Solomon's formula: prod [d]_t over the degrees d of W divided by the
     same product over the degrees of W_J, read off the root heights on J,
-    where [d]_t = 1 + t + ... + t^(d-1).  The degrees the two share cancel
-    before anything is multiplied out, so only the two multiset
-    differences count against MAX_DEGREE.  The division is exact; a
-    remainder would mean corrupt root data and raises InexactDivision.
+    where [d]_t = 1 + t + ... + t^(d-1).  With a diagram automorphism
+    sigma that stabilizes J, only the sigma-fixed reps count, and the sum
+    is |G(F_q)/P(F_q)| at t = q for the quasi-split form (Steinberg,
+    Mem. AMS 80, 1968): the sigma-fixed elements of W by length divided
+    by those of W_J (``_factors``), that is prod (t^d - eps_d) over W,
+    divided by the same over W_J and by t^|O| - 1 for each sigma-orbit O
+    of nodes off J.  The factors the two sides share cancel before
+    anything is multiplied out, so only the two multiset differences
+    count against MAX_DEGREE.  The division is exact; a remainder would
+    mean corrupt root data and raises InexactDivision.
     """
-    top, levi = Counter(fundamental_degrees(rs)), Counter(_degrees(rs, parabolic))
+    J = rs.check_nodes(parabolic)
+    if sigma is not None and not sigma.stabilizes(J):
+        raise ValueError(f"sigma does not stabilize the parabolic nodes {sorted(J)}")
+    net = _factors(rs, rs.node_set(), sigma)
+    net.subtract(_factors(rs, J, sigma))
+
+    def factor(k):  # [k]_t, or t^-k + 1 for k < 0
+        return IntPoly((1,) * k if k > 0 else (1,) + (0,) * (-k - 1) + (1,))
+
     return eval_rational(
-        [IntPoly((1,) * d) for d in (top - levi).elements()],
-        [IntPoly((1,) * d) for d in (levi - top).elements()],
+        [factor(k) for k in (+net).elements()], [factor(k) for k in (-net).elements()]
     )
 
 
@@ -305,37 +354,18 @@ def _orbit_levels(
         level = nxt
 
 
-def coset_length_counts(
-    rs: RootSystem,
-    parabolic: Iterable[int],
-    star: DiagramAut | None = None,
-) -> dict[int, int]:
+def coset_length_counts(rs: RootSystem, parabolic: Iterable[int]) -> dict[int, int]:
     """Count minimal coset representatives of W/W_J by length.
 
     Walks the W-orbit of the dominant weight vector whose stabilizer is
-    W_J (``_orbit_levels``); never builds a permutation.  With a star,
-    only the reps it fixes count: w.lambda_J with coordinates permuted by
-    the star is star(w).lambda_J, so w is fixed iff its orbit vector is
-    (never, unless the star stabilizes J).  Lengths without a counted rep
-    are left out.
+    W_J (``_orbit_levels``); never builds a permutation.
     """
     J = rs.check_nodes(parabolic)
     index = _check_index(_index(rs, J), _ORBIT_COUNT_LIMIT)
-    permute = None if star is None else _picker([star(i + 1) - 1 for i in range(rs.rank)])
-    packing = _Packing(rs)
-    fields = packing.fields
-    walked = 0
-    counts = {}
-    for length, level in enumerate(_orbit_levels(rs, J, packing)):
-        walked += len(level)
-        fixed = len(level) if permute is None else sum(
-            permute(mu) == mu for mu in map(fields, level)
-        )
-        if fixed:
-            counts[length] = fixed
-    if walked != index:
+    counts = dict(enumerate(map(len, _orbit_levels(rs, J, _Packing(rs)))))
+    if sum(counts.values()) != index:
         raise AssertionError(
-            f"orbit size {walked} != |W|/|W_J| = {index}; root data corrupt"
+            f"orbit size {sum(counts.values())} != |W|/|W_J| = {index}; root data corrupt"
         )
     return counts
 

@@ -13,10 +13,12 @@ quotient come from a breadth-first search over these permutations
 The chain polynomial, the Kilmoyer and transposed double-coset
 references and the sigma-fixed conormed reference build on it; the
 tests and ``scripts/borel_series_check.py`` compare the package against
-them.  Outside W altogether, ``unitary_flag_count`` counts the F_2-points
-of the flag varieties of 2A_n as flags of totally isotropic subspaces of
-a Hermitian space over F_4.  This module imports only magicsq, so the
-script runs without the test extras.  Also here: the golden-file forms of a root system and a
+them.  Outside W altogether, ``unitary_flag_count`` and
+``orthogonal_flag_count`` count the F_2-points of the flag varieties of
+2A_n and 2D_n as flags of totally isotropic subspaces of a Hermitian
+space over F_4 and of a minus-type quadratic space over F_2.  This
+module imports only magicsq, so the script runs without the test
+extras.  Also here: the golden-file forms of a root system and a
 polynomial, a simple root's index and a polynomial's coefficient, which
 only the tests read.
 """
@@ -348,6 +350,35 @@ def _f4_mul(x: int, y: int) -> int:
     return out ^ 0b111 if out & 0b100 else out
 
 
+def _flag_count(zero, points, extends, span, dims) -> int:
+    """Flags of subspaces of the dimensions dims, each subspace totally isotropic.
+
+    ``points`` are the nonzero isotropic vectors, ``extends(v, space)``
+    says whether v spans a totally isotropic subspace with space, and
+    ``span(space, v)`` is that subspace, as a frozenset of vectors.  The
+    subspaces are grown one dimension at a time from {zero}.
+    """
+    spaces = {0: [frozenset({zero})]}
+    for d in range(1, dims[-1] + 1):
+        grown = set()
+        for space in spaces[d - 1]:
+            covered = set(space)  # the vectors of the spaces grown from it
+            for v in points:
+                if v not in covered and extends(v, space):
+                    new = span(space, v)
+                    covered |= new
+                    grown.add(new)
+        spaces[d] = list(grown)
+    # chains ending at each subspace of the current dimension
+    chains = {space: 1 for space in spaces[dims[0]]}
+    for d in dims[1:]:
+        chains = {
+            space: sum(k for sub, k in chains.items() if sub <= space)
+            for space in spaces[d]
+        }
+    return sum(chains.values())
+
+
 def unitary_flag_count(n: int, circled: Iterable[int]) -> int:
     """F_2-points of the flag variety X_I of 2A_n, counted as linear algebra.
 
@@ -365,32 +396,48 @@ def unitary_flag_count(n: int, circled: Iterable[int]) -> int:
             out ^= _f4_mul(x, conj[y])
         return out
 
-    vectors = list(itertools.product(range(4), repeat=n + 1))
-    isotropic = [v for v in vectors if any(v) and form(v, v) == 0]
-    dims = sorted({min(i, n + 1 - i) for i in circled})
-    # totally isotropic subspaces, as sets of vectors, one dimension at a time
-    spaces = {0: [frozenset({(0,) * (n + 1)})]}
-    for d in range(1, dims[-1] + 1):
-        grown = set()
-        for space in spaces[d - 1]:
-            covered = set(space)  # the vectors of the spaces grown from it
-            for v in isotropic:
-                if v not in covered and all(form(v, u) == 0 for u in space):
-                    span = frozenset(
-                        tuple(x ^ _f4_mul(c, y) for x, y in zip(u, v))
-                        for u in space for c in range(4)
-                    )
-                    covered |= span
-                    grown.add(span)
-        spaces[d] = list(grown)
-    # chains ending at each subspace of the current dimension
-    chains = {space: 1 for space in spaces[dims[0]]}
-    for d in dims[1:]:
-        chains = {
-            space: sum(k for sub, k in chains.items() if sub <= space)
-            for space in spaces[d]
-        }
-    return sum(chains.values())
+    def span(space, v):
+        return frozenset(
+            tuple(x ^ _f4_mul(c, y) for x, y in zip(u, v)) for u in space for c in range(4)
+        )
+
+    vectors = itertools.product(range(4), repeat=n + 1)
+    return _flag_count(
+        (0,) * (n + 1),
+        [v for v in vectors if any(v) and form(v, v) == 0],
+        lambda v, space: all(form(v, u) == 0 for u in space),
+        span,
+        sorted({min(i, n + 1 - i) for i in circled}),
+    )
+
+
+def orthogonal_flag_count(n: int, circled: Iterable[int]) -> int:
+    """F_2-points of the flag variety X_I of 2D_n, counted as linear algebra.
+
+    The quasi-split orthogonal group of 2D_n over F_2 preserves the
+    minus-type quadratic form x1 x2 + ... + x(2n-3) x(2n-2) + x(2n-1)^2 +
+    x(2n-1) x(2n) + x(2n)^2 on F_2^(2n), whose totally singular subspaces
+    have dimension at most n - 1.  A sigma-stable circled set I names the
+    flags of totally singular subspaces of the dimensions i for the nodes
+    i <= n - 2 in I, and n - 1 for the pair {n - 1, n}; this counts them,
+    with no root system and no Weyl group.  A vector is an int, bit k
+    holding x(k+1), so addition is xor.
+    """
+
+    def form(v):
+        pairs = sum((v >> (2 * i) & 1) & (v >> (2 * i + 1) & 1) for i in range(n))
+        return (pairs + (v >> (2 * n - 2) & 1) + (v >> (2 * n - 1) & 1)) % 2
+
+    singular = {v for v in range(1, 1 << (2 * n)) if form(v) == 0}
+    return _flag_count(
+        0,
+        sorted(singular),
+        # every nonzero vector of the span is singular, which over F_2
+        # makes the span totally singular
+        lambda v, space: all(u ^ v in singular for u in space),
+        lambda space, v: space | {u ^ v for u in space},
+        sorted({min(i, n - 1) for i in circled}),
+    )
 
 
 def root_system_to_json(rs: RootSystem) -> dict:

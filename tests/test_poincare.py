@@ -17,7 +17,7 @@ from magicsq.poincare import (
     poincare_poly,
 )
 from magicsq.polyring import IntPoly, eval_rational
-from magicsq.rootsys import CartanType, build_root_system, twist_aut
+from magicsq.rootsys import CartanType, build_root_system, identity_aut, twist_aut
 from magicsq.weyl import (
     coset_length_counts,
     fundamental_degrees,
@@ -29,6 +29,7 @@ from magicsq.weyl import (
 
 from _reference import (
     coefficient,
+    orthogonal_flag_count,
     sigma_fixed_reference,
     sigma_stable_varieties,
     unitary_flag_count,
@@ -241,6 +242,47 @@ def test_conormed_counts_the_points_of_the_unitary_flag_varieties():
         points = unitary_flag_count(fv.ambient.rank, circled)
         assert points == UNITARY_FLAG_COUNTS[str(fv.ambient), circled]
         assert conormed_poincare(fv)(2) == points, fv
+
+
+# F_2-points of every sigma-stable variety of 2D4: flags of totally
+# singular subspaces of a minus-type quadratic form on F_2^8, node i <= 2
+# naming dimension i and the pair {3, 4} dimension 3
+ORTHOGONAL_FLAG_COUNTS = {
+    (1,): 119,  # 17 * 7 singular points
+    (2,): 1071,
+    (1, 2): 3213,
+    (3, 4): 765,  # 5 * 9 * 17 maximal totally singular subspaces
+    (1, 3, 4): 5355,
+    (2, 3, 4): 5355,
+    (1, 2, 3, 4): 16065,
+}
+
+
+def test_conormed_counts_the_points_of_the_orthogonal_flag_varieties():
+    # the only check of the sign on one degree 2m of 2D_2m that no 2A_n reaches
+    cases = list(sigma_stable_varieties("2D4", 10**6))
+    assert sorted(tuple(sorted(fv.parabolic_type)) for fv in cases) == sorted(
+        ORTHOGONAL_FLAG_COUNTS
+    )
+    for fv in cases:
+        circled = tuple(sorted(fv.parabolic_type))
+        points = orthogonal_flag_count(4, circled)
+        assert points == ORTHOGONAL_FLAG_COUNTS[circled]
+        assert conormed_poincare(fv)(2) == points, fv
+
+
+def test_twisted_quotient_with_the_identity_is_the_split_one():
+    # sigma = 1 fixes every rep, and every factor is t^d - 1
+    for label in ("A4", "D5", "E6", "B3", "G2"):
+        rs = build_root_system(CartanType.from_string(label))
+        for levi in _small_parabolics(rs, 10**6):
+            assert quotient_poly(rs, levi, identity_aut(rs)) == quotient_poly(rs, levi), levi
+
+
+def test_twisted_quotient_refuses_a_parabolic_sigma_moves():
+    rs = build_root_system(CartanType.from_string("2E6"))
+    with pytest.raises(ValueError, match=r"does not stabilize the parabolic nodes \[1, 2\]"):
+        quotient_poly(rs, {1, 2}, twist_aut(rs))
 
 
 # Steinberg: the degree-d invariant of W is an eigenvector of sigma with

@@ -47,6 +47,11 @@ def test_canonical_form():
     assert IntPoly([5]).degree == 0
 
 
+def test_coefficients_must_be_ints():
+    with pytest.raises(TypeError, match="integer coefficient expected, got 1.5"):
+        IntPoly([1.5])
+
+
 def test_basic_products():
     assert (ONE_PLUS_T3 * IntPoly([1, 0, 0, 0, 0, 1])).coeffs == (
         1, 0, 0, 1, 0, 1, 0, 0, 1,
@@ -134,7 +139,8 @@ def test_divides_semiring():
 
 
 def test_divides_semiring_shift_normalization():
-    # q = t^2 (1 + t^3), p = q * t
+    # a divisor with no constant term, q = t^2 (1 + t^3), p = q * t:
+    # division from the top needs only q's leading coefficient
     q = IntPoly([0, 0, 1, 0, 0, 1])
     p = IntPoly([0, 0, 0, 1, 0, 0, 1])
     ok, quot = divides_semiring(p, q)
@@ -227,6 +233,15 @@ def test_ring_axioms(a, b, c):
 def test_semiring_round_trip(q, r):
     ok, quot = divides_semiring(q * r, q)
     assert ok and quot == r
+
+
+@given(semiring_divisors, nonneg_polys, st.integers(0, 3), st.integers(1, 3))
+def test_semiring_divisors_without_a_constant_term(q, r, shift, more):
+    # t^(shift+more) q divides t^shift q r only when it divides q r itself
+    q_shifted = q.shift(shift + more)
+    assert divides_semiring((q * r).shift(shift + more), q_shifted) == (True, r)
+    p = (q * r).shift(shift)
+    assert divides_semiring(p, q_shifted)[0] == (r.is_zero or r.valuation() >= more)
 
 
 @given(polys, semiring_divisors)

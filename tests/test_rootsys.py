@@ -7,6 +7,7 @@ from magicsq.rootsys import (
     CartanType,
     build_root_system,
     cartan_matrix,
+    components,
     diagram_aut,
     identity_aut,
     opposition_involution,
@@ -273,6 +274,24 @@ def test_diagram_aut_validation():
 def test_sub_diagram_type(ambient, nodes, expected):
     rs = build_root_system(CartanType.from_string(ambient))
     assert [str(t) for t in sub_diagram_type(rs, nodes)] == expected
+
+
+@pytest.mark.parametrize(
+    "ambient,nodes,expected",
+    [
+        ("E6", set(), []),
+        ("E6", {1, 2, 3, 4, 5, 6}, [[1, 3, 4, 2, 5, 6]]),
+        ("E6", {1, 3, 5, 6}, [[1, 3], [5, 6]]),
+        ("E6", {2, 3, 5}, [[2], [3], [5]]),
+        ("D6", {1, 5, 6}, [[1], [5], [6]]),
+        ("D6", {6, 2, 3, 4, 5}, [[2, 3, 4, 5, 6]]),
+    ],
+)
+def test_components(ambient, nodes, expected):
+    rs = build_root_system(CartanType.from_string(ambient))
+    assert components(rs, nodes) == expected
+    with pytest.raises(ValueError, match="not within"):
+        components(rs, {0})
 
 
 def test_sub_diagram_rejects_bad_nodes():

@@ -9,14 +9,15 @@ import random
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 import magicsq
-from magicsq import _data, verify
+from magicsq import _data, cgmb, jinv, poincare, qform, verify, weyl
 from magicsq.cli import _emit_json, main
-from magicsq.polyring import MAX_DEGREE, parse_poly
+from magicsq.polyring import MAX_DEGREE, IntPoly, parse_poly
 from magicsq.rootsys import build_root_system
 from magicsq.verify import CheckResult, VerifyReport, fixture_names, run_fixture, run_verify
 
@@ -57,6 +58,72 @@ def test_every_check_gives_the_same_result_alone():
             name, full[name].expected, full[name].actual, full[name].passed,
         )
         assert alone.passed
+
+
+# a Killing-form grid of one anisotropic form of the wrong dimension, from
+# split algebras: it fails both the dimension and the isotropy check
+_WRONG_GRID = [(False, False, (1, 1, 1), SimpleNamespace(dim=0, witt_index=0))]
+
+
+def _outranked(label):
+    # the true maximal profile, last as enumerated, and a profile before it
+    # with larger values
+    return [SimpleNamespace(values=(99,)), jinv.max_profile(label)]
+
+
+# each check name -> ways to make it fail: a module attribute the check
+# reads, and a wrong stand-in for it
+WRONG = {
+    "cgmb-skeleton-x16-e6": [(cgmb, "tate_skeleton", lambda *args: [])],
+    "cgmb-skeleton-x2-e6": [(cgmb, "tate_skeleton", lambda *args: [])],
+    "conormed-x16-dichotomy": [(poincare, "conormed_poincare", lambda fv: IntPoly([1, 0, 0, 1]))],
+    "conormed-x16-shape": [(poincare, "conormed_poincare", lambda fv: IntPoly([1, 0, 0, 1]))],
+    "conormed-x2-dichotomy": [(verify, "divides_ring", lambda p, q: (False, None))],
+    "conormed-x2-shape": [(poincare, "conormed_poincare", lambda fv: IntPoly([1, -1]))],
+    "dims-x16-e6": [(poincare, "dim_flag", lambda fv: 0)],
+    "dims-x2-e6": [(poincare, "dim_flag", lambda fv: 0)],
+    "dims-y1-e7": [(poincare, "dim_flag", lambda fv: 0)],
+    "henke-y1": [(poincare, "poincare_poly", lambda fv: IntPoly([1, 1]))],
+    "jinv-strongly-inner-e7": [(jinv, "upper_motive_poly", lambda prof: IntPoly([1]))],
+    "jinv-table-roundtrip": [
+        (jinv, "enumerate_admissible", lambda label: [None]),
+        (jinv, "enumerate_admissible", _outranked),
+    ],
+    "jinv-upper-borel-2e6": [(jinv, "upper_motive_poly", lambda prof: IntPoly([1]))],
+    "killing-compact-form": [
+        (qform, "af_killing_form_e7", lambda *args: SimpleNamespace(signature=0, witt_index=1))
+    ],
+    "killing-dimension-grid": [(qform, "killing_grid", lambda: _WRONG_GRID)],
+    "killing-split-isotropy": [(qform, "killing_grid", lambda: _WRONG_GRID)],
+    "props-coset-counts": [(weyl, "coset_length_counts", lambda rs, levi: {0: 1})],
+    "props-double-coset-partition": [(weyl, "double_cosets", lambda *args: [])],
+    "props-palindromic-flags": [(poincare, "poincare_poly", lambda fv: IntPoly([1, 2]))],
+    "props-semiring-implies-ring": [(verify, "divides_ring", lambda p, q: (False, None))],
+    "props-upper-poly-identities": [(jinv, "upper_motive_poly", lambda prof: IntPoly([1]))],
+    "step5-residual-x16": [(cgmb, "express_residual", lambda residual, blocks: None)],
+    "step5-residual-x2": [(cgmb, "express_residual", lambda residual, blocks: None)],
+    "tables-jinv-consistency": [
+        (jinv, "profile", lambda group, values: SimpleNamespace(degrees=None)),
+        (jinv, "enumerate_admissible", lambda group: []),
+    ],
+}
+
+
+def test_every_check_has_a_way_to_fail():
+    assert sorted(WRONG) == verify.check_names()
+
+
+@pytest.mark.parametrize(
+    "name,module,attr,wrong",
+    [(name, *way) for name, ways in WRONG.items() for way in ways],
+    ids=[f"{name}-{way[1]}" for name, ways in WRONG.items() for way in ways],
+)
+def test_every_check_fails_on_a_wrong_value(monkeypatch, name, module, attr, wrong):
+    # the check reports the failure with exit code 1; it does not raise
+    monkeypatch.setattr(module, attr, wrong)
+    report = run_verify(name)
+    assert [(c.name, c.passed) for c in report.checks] == [(name, False)]
+    assert report.exit_code == 1
 
 
 def _randint_fuzz_cases(randint):
@@ -230,11 +297,15 @@ def test_cli_poincare_conormed(capsys):
     assert code == 0 and json.loads(out)["degree"] == 29
 
 
-def test_cli_conormed_size_guard(capsys):
+def test_cli_conormed_2a12_borel(capsys):
+    # W(A12) has 6227020800 elements, too many to walk; the closed form
+    # counts the sigma-fixed ones, W(C6)
     nodes = ",".join(map(str, range(1, 13)))
-    code = main(["poincare", "--type", "2A12", "--variety", nodes, "--conormed"])
-    assert code == 2
-    assert "6227020800 cosets" in capsys.readouterr().err
+    code, out = run_cli(capsys, "poincare", "--type", "2A12", "--variety", nodes, "--conormed")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["degree"] == payload["dim"] == 78
+    assert payload["value_at_1"] == 46080 == 2**6 * 720
 
 
 def test_cli_weyl_verbs(capsys):
@@ -556,6 +627,10 @@ def test_cli_validation_errors_map_to_exit_2(capsys):
         ),
         (["qform", "af-e7", "--q", "definite", "--o", "definite", "--gamma", "+,0,+"], None),
         (["qform", "af-e7", "--q", "round", "--o", "definite", "--gamma", "+,+,+"], None),
+        (
+            ["qform", "af-e7", "--q", "split", "--o", "split", "--gamma=+,+"],
+            "gamma needs exactly three entries, e.g. +,+,-",
+        ),
         (["tables", "magic", "--row", "octonion"], None),  # --col missing
         (
             ["tables", "tits-index", "--rost", "nope"],
@@ -724,6 +799,14 @@ def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
         why = whole_document.get(os.path.basename(path))
         if why:
             assert captured.err.startswith(f"error: fixtures {path} {why}"), path
+
+
+def test_cli_fixture_that_is_not_an_object_maps_to_exit_2(tmp_path, capsys):
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps({"version": 1, "fixtures": [["x"]]}))
+    code = main(["--fixtures", str(path), "cgmb", "check", "--fixture", "x"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: fixture #0 in {path} is not an object\n"
 
 
 @pytest.mark.parametrize(
