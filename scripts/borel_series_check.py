@@ -27,7 +27,11 @@ Fifth, the third sweep with the bound on I: for every pair (I, J) with
 involution as star wherever it fixes I and J, the double cosets, which
 walk the left orbit W.lambda_I, against the transposed Kilmoyer
 reference: the cells of W_J\\W/W_I with inverted representatives and
-sizes rescaled by |W_I| / |W_J|.  The sweeps take minutes, which is why
+sizes rescaled by |W_I| / |W_J|.  Sixth, for every sigma-stable variety
+over POINT_COUNT_TYPES, the conormed polynomial at t = 2 against its
+F_2-points counted as flags of totally isotropic subspaces
+(``unitary_flag_count`` for 2A_n, ``orthogonal_flag_count`` for 2D_n),
+with no Weyl group on that side.  The sweeps take minutes, which is why
 this is a script and not a test; ``tests/test_scripts.py`` runs them on
 a tiny catalog.
 
@@ -35,6 +39,7 @@ a tiny catalog.
 """
 
 import itertools
+import math
 import pathlib
 import sys
 import time
@@ -75,6 +80,8 @@ TWISTED_MAX_INDEX = 20_000
 # whose 1,500 pairs would walk 10^7 orbit vectors
 TRANSPOSED_TYPES = ["D6", "E6", "E7"]
 TRANSPOSED_MAX_LEFT_INDEX = 20_000
+# every sigma-stable variety, whatever its index; 2A5 and 2D5 take seconds
+POINT_COUNT_TYPES = ["2A2", "2A3", "2A4", "2A5", "2D4", "2D5"]
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 from _reference import (  # noqa: E402
@@ -83,8 +90,10 @@ from _reference import (  # noqa: E402
     _transposed_cells,
     chain_length_polynomial,
     full_action,
+    orthogonal_flag_count,
     sigma_fixed_reference,
     sigma_stable_varieties,
+    unitary_flag_count,
 )
 
 
@@ -217,12 +226,39 @@ def check_conormed():
           f"{formula_s:.2f}s, permutation reference {reference_s:.2f}s")
 
 
+def check_point_counts():
+    cases = 0
+    formula_s = count_s = 0.0
+    for label in POINT_COUNT_TYPES:
+        count = unitary_flag_count if label.startswith("2A") else orthogonal_flag_count
+        checked = 0
+        for fv in sigma_stable_varieties(label, math.inf):
+            circled = sorted(fv.parabolic_type)
+            t0 = time.perf_counter()
+            by_formula = conormed_poincare(fv)(2)
+            t1 = time.perf_counter()
+            points = count(fv.ambient.rank, circled)
+            t2 = time.perf_counter()
+            formula_s += t1 - t0
+            count_s += t2 - t1
+            if by_formula != points:
+                raise AssertionError(
+                    f"{label} X_{circled}: formula {by_formula} != {points} points"
+                )
+            checked += 1
+        print(f"{label:3}  {checked:3} point counts ok")
+        cases += checked
+    print(f"{cases} point counts over F_2: formula {formula_s:.2f}s, "
+          f"linear algebra {count_s:.2f}s")
+
+
 def main():
     check_groups()
     check_quotients()
     check_double_cosets("right")
     check_conormed()
     check_double_cosets("left")
+    check_point_counts()
 
 
 if __name__ == "__main__":

@@ -118,9 +118,6 @@ class IntPoly:
             out[i] -= c
         return IntPoly(out)
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self._coeffs))
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly(tuple(other * c for c in self._coeffs))

@@ -22,8 +22,9 @@ answers every quotient, E8 included.
 
 ``coset_length_counts`` and ``double_cosets`` walk the W-orbit of the
 weight lambda_J with stabilizer W_J on weight coordinates, breadth-first,
-two levels at a time, each vector packed into one int (``_Packing``).
-The packing is linear, so a reflection s_i is one multiply-subtract,
+two levels at a time, each vector packed into one int, a coordinate per
+byte (``_Packing``), so a vector's coordinates are its own bytes.  The
+packing is linear, so a reflection s_i is one multiply-subtract,
 u - mu_i * row_i with row_i the packed Cartan row of node i.  Both walks
 make each vector once, from its parent across its first negative
 coordinate (``_orbit_levels``), so a level is a list with no dedup.
@@ -245,37 +246,33 @@ def minimal_coset_reps(
 
 
 class _Packing:
-    """Weight vectors packed into one int: mu_i + 2^15 in bits 16i..16i+15.
+    """Weight vectors packed into one int: mu_i + 2^7 in byte i.
 
+    The walks read the coordinates back as ``u.to_bytes(rank, "little")``.
     The packing is linear, so reflecting in wall i is one multiply-subtract:
     s_i(u) = u - mu_i * rows[i], where rows[i] is the Cartan row of a_i
-    packed without the bias.  No field ever carries: an orbit vector of
-    lambda_J has |mu_i| = |<lambda_J, b^v>| for a root b, at most the
-    height of the highest coroot, h - 1 for the Coxeter number h.  That is
-    below 2 * rank on A-D and at most 29 (E8) on the exceptional types, and
-    no root system of rank 200 or more is built.
+    packed without the bias.  No byte ever carries: an orbit vector of
+    lambda_J has |mu_i| = |<lambda_J, b^v>| for a root b, at most
+    <lambda_J, theta^v> for the highest coroot theta^v, the sum of its
+    coefficients off J.  Those are at most 2 on A-D, so the bound is at
+    most 2 per node off J there, and at most h - 1 <= 29 (E8) on the
+    exceptional types, for the Coxeter number h.  |W/W_J| >= 2^k for k
+    nodes off J, so below either index limit (_check_index) |mu_i| <= 40
+    < 2^7; only an index of 2^64 or more could overflow a byte.
     """
 
-    BIAS = 1 << 15
+    BIAS = 1 << 7
 
     def __init__(self, rs: RootSystem):
-        import struct  # here, not at the top: only a walk pays its import
-
-        self.rows = [sum(r << (16 * j) for j, r in enumerate(row)) for row in rs.cartan]
-        self.nbytes = 2 * rs.rank
-        self.unpack = struct.Struct(f"<{rs.rank}H").unpack
+        self.rows = [sum(r << (8 * j) for j, r in enumerate(row)) for row in rs.cartan]
 
     def pack(self, mu: Iterable[int]) -> int:
-        return sum((m + self.BIAS) << (16 * i) for i, m in enumerate(mu))
-
-    def fields(self, u: int) -> tuple[int, ...]:
-        """mu_i + 2^15 for every i."""
-        return self.unpack(u.to_bytes(self.nbytes, "little"))
+        return sum((m + self.BIAS) << (8 * i) for i, m in enumerate(mu))
 
     @staticmethod
     def sign_mask(positions: Iterable[int]) -> int:
         """u & mask == mask iff mu_i >= 0 at every position."""
-        return sum(1 << (16 * i + 15) for i in positions)
+        return sum(1 << (8 * i + 7) for i in positions)
 
 
 class _InversePacking:
@@ -339,14 +336,14 @@ def _orbit_levels(
     needs no dedup: v = s_i u is kept iff v_j >= 0 for every j < i, one
     test of v's sign bits.  Vectors are packed by ``packing``.
     """
-    bias, fields, rows = packing.BIAS, packing.fields, packing.rows
-    firsts = [packing.sign_mask(range(i)) for i in range(rs.rank)]
-    level = [packing.pack(0 if (i + 1) in J else 1 for i in range(rs.rank))]
+    bias, rows, rank = packing.BIAS, packing.rows, rs.rank
+    firsts = [packing.sign_mask(range(i)) for i in range(rank)]
+    level = [packing.pack(0 if (i + 1) in J else 1 for i in range(rank))]
     while level:
         yield level
         nxt = []
         for u in level:
-            for i, f in enumerate(fields(u)):
+            for i, f in enumerate(u.to_bytes(rank, "little")):
                 if f > bias:
                     v = u - (f - bias) * rows[i]
                     if v & firsts[i] == firsts[i]:
@@ -440,7 +437,7 @@ def double_cosets(
     walked_nodes, kept_nodes = (I, J) if swap else (J, I)
 
     packing = _Packing(rs)
-    bias, fields, rows = packing.BIAS, packing.fields, packing.rows
+    bias, rows = packing.BIAS, packing.rows
     kept_pos = [i - 1 for i in sorted(kept_nodes)]
     mask = packing.sign_mask(kept_pos)
     rank = rs.rank
@@ -459,7 +456,7 @@ def double_cosets(
         walked += len(level)
         nxt, nxt_reps = [], []
         for u, rep in zip(level, reps):
-            mu = fields(u)
+            mu = u.to_bytes(rank, "little")
             if (u & mask) == mask:
                 dominant.append((length, inverse.images(rep) if swap else rep, mu))
             for i, f in enumerate(mu):
@@ -480,7 +477,7 @@ def double_cosets(
     ))
     out = [
         # positional: keyword arguments take record's slower binding path
-        DoubleCosetCell(length, images, size(kept(mu)), permute is None or permute(mu) == mu)
+        DoubleCosetCell(length, images, size(kept(mu)), permute is None or bytes(permute(mu)) == mu)
         # reps differ on the simple roots, so the sort never compares mu
         for length, images, mu in sorted(dominant)
     ]

@@ -341,42 +341,87 @@ def sigma_fixed_reference(fv):
     return length_counts_to_poly(counts)
 
 
-def _f4_mul(x: int, y: int) -> int:
-    """Product in F_4 = F_2[a]/(a^2 + a + 1), an element as the bits of b0 + b1 a."""
-    out = 0
-    for k in range(2):
-        if y >> k & 1:
-            out ^= x << k
-    return out ^ 0b111 if out & 0b100 else out
+def _subspace_levels(points, perp, span, top):
+    """The totally isotropic subspaces of dimension <= top, as their covers.
 
-
-def _flag_count(zero, points, extends, span, dims) -> int:
-    """Flags of subspaces of the dimensions dims, each subspace totally isotropic.
-
-    ``points`` are the nonzero isotropic vectors, ``extends(v, space)``
-    says whether v spans a totally isotropic subspace with space, and
-    ``span(space, v)`` is that subspace, as a frozenset of vectors.  The
-    subspaces are grown one dimension at a time from {zero}.
+    ``points`` is the set of nonzero isotropic vectors, ``perp[v]`` the
+    points orthogonal to v, and ``span(space, v)`` the subspace that
+    space and v span, as a sorted tuple of vectors, zero included.  Level d
+    holds, for each subspace of dimension d, the indices in level d - 1
+    of its subspaces of dimension d - 1.  Each d-subspace T is grown once
+    from every (d - 1)-subspace S it contains: the vectors of each T
+    grown from S are covered before the next point is tried, and two
+    such T meet in S.  Only two levels of vector sets live at a time.
     """
-    spaces = {0: [frozenset({zero})]}
-    for d in range(1, dims[-1] + 1):
-        grown = set()
-        for space in spaces[d - 1]:
-            covered = set(space)  # the vectors of the spaces grown from it
-            for v in points:
-                if v not in covered and extends(v, space):
+    frontier = [(0,)]
+    levels = [[[]]]
+    for _ in range(top):
+        grown = {}
+        for s, space in enumerate(frontier):
+            covered = set(space)
+            for v in points.intersection(*(perp[u] for u in space if u)):
+                if v not in covered:
                     new = span(space, v)
-                    covered |= new
-                    grown.add(new)
-        spaces[d] = list(grown)
-    # chains ending at each subspace of the current dimension
-    chains = {space: 1 for space in spaces[dims[0]]}
-    for d in dims[1:]:
-        chains = {
-            space: sum(k for sub, k in chains.items() if sub <= space)
-            for space in spaces[d]
-        }
-    return sum(chains.values())
+                    covered.update(new)
+                    grown.setdefault(new, []).append(s)
+        frontier = list(grown)
+        levels.append(list(grown.values()))
+    return levels
+
+
+def _flag_count(levels, dims) -> int:
+    """Flags of subspaces of the dimensions dims, from ``_subspace_levels``.
+
+    Each subspace of a named dimension sums the chain counts of its own
+    subspaces of the previous named dimension, found by walking down its
+    covers, so no two subspaces are compared.
+    """
+    chains = [1] * len(levels[dims[0]])
+    for low, high in zip(dims, dims[1:]):
+        counts = []
+        for below in levels[high]:
+            subs = set(below)
+            for d in range(high - 1, low, -1):
+                subs = set().union(*(levels[d][s] for s in subs))
+            counts.append(sum(chains[s] for s in subs))
+        chains = counts
+    return sum(chains)
+
+
+@functools.cache
+def _unitary_levels(n):
+    """``_subspace_levels`` of the Hermitian form on F_4^(n+1), to dimension (n + 1) // 2.
+
+    A vector is an int, coordinate i in bits 2i and 2i + 1 as b0 + b1 a
+    with a^2 = a + 1, so addition is xor and every coordinate is read at
+    once through the masks of its low and high bits.
+    """
+    low = sum(1 << (2 * i) for i in range(n + 1))
+
+    def times_a(v):  # a (b0 + b1 a) = b1 + (b0 + b1) a
+        b0, b1 = v & low, v >> 1 & low
+        return b1 | (b0 ^ b1) << 1
+
+    def orthogonal(u, v):
+        # sum u_i conj(v_i), conj(b0 + b1 a) = (b0 + b1) + b1 a, is zero
+        a0, a1 = u & low, u >> 1 & low
+        c1 = v >> 1 & low
+        c0 = v & low ^ c1
+        real = (a0 & c0 ^ a1 & c1).bit_count()
+        imaginary = (a0 & c1 ^ a1 & c0 ^ a1 & c1).bit_count()
+        return real % 2 == imaginary % 2 == 0
+
+    def span(space, v):
+        a_v = times_a(v)
+        return tuple(sorted({u ^ c for u in space for c in (0, v, a_v, a_v ^ v)}))
+
+    points = {v for v in range(1, 4 ** (n + 1)) if orthogonal(v, v)}
+    perp = {}
+    for u in points:
+        if u not in perp:  # one set for the three nonzero multiples of u
+            a_u = times_a(u)
+            perp[u] = perp[a_u] = perp[a_u ^ u] = {v for v in points if orthogonal(u, v)}
+    return _subspace_levels(points, perp, span, (n + 1) // 2)
 
 
 def unitary_flag_count(n: int, circled: Iterable[int]) -> int:
@@ -386,28 +431,29 @@ def unitary_flag_count(n: int, circled: Iterable[int]) -> int:
     form sum x_i conj(x_i) on F_4^(n+1), with conj(x) = x^2.  A sigma-stable
     circled set I names the flags of totally isotropic subspaces of the
     dimensions min(i, n + 1 - i), i in I; this counts them, subspace by
-    subspace, with no root system and no Weyl group.
+    subspace, with no root system and no Weyl group.  The subspaces of
+    each n are grown once (``_unitary_levels``).
     """
-    conj = [_f4_mul(x, x) for x in range(4)]
+    return _flag_count(_unitary_levels(n), sorted({min(i, n + 1 - i) for i in circled}))
 
-    def form(u, v):
-        out = 0
-        for x, y in zip(u, v):
-            out ^= _f4_mul(x, conj[y])
-        return out
 
-    def span(space, v):
-        return frozenset(
-            tuple(x ^ _f4_mul(c, y) for x, y in zip(u, v)) for u in space for c in range(4)
-        )
+@functools.cache
+def _orthogonal_levels(n):
+    """``_subspace_levels`` of the minus-type form on F_2^(2n), to dimension n - 1.
 
-    vectors = itertools.product(range(4), repeat=n + 1)
-    return _flag_count(
-        (0,) * (n + 1),
-        [v for v in vectors if any(v) and form(v, v) == 0],
-        lambda v, space: all(form(v, u) == 0 for u in space),
-        span,
-        sorted({min(i, n + 1 - i) for i in circled}),
+    A vector is an int, bit k holding x(k+1), so addition is xor.  Two
+    singular vectors u, v are orthogonal iff u + v is singular, since the
+    polar form is Q(u + v) - Q(u) - Q(v).
+    """
+
+    def form(v):
+        pairs = sum((v >> (2 * i) & 1) & (v >> (2 * i + 1) & 1) for i in range(n))
+        return (pairs + (v >> (2 * n - 2) & 1) + (v >> (2 * n - 1) & 1)) % 2
+
+    points = {v for v in range(1, 1 << (2 * n)) if form(v) == 0}
+    perp = {u: {v for v in points if u ^ v in points} for u in points}
+    return _subspace_levels(
+        points, perp, lambda space, v: tuple(sorted({*space, *(u ^ v for u in space)})), n - 1
     )
 
 
@@ -420,24 +466,10 @@ def orthogonal_flag_count(n: int, circled: Iterable[int]) -> int:
     have dimension at most n - 1.  A sigma-stable circled set I names the
     flags of totally singular subspaces of the dimensions i for the nodes
     i <= n - 2 in I, and n - 1 for the pair {n - 1, n}; this counts them,
-    with no root system and no Weyl group.  A vector is an int, bit k
-    holding x(k+1), so addition is xor.
+    with no root system and no Weyl group.  The subspaces of each n are
+    grown once (``_orthogonal_levels``).
     """
-
-    def form(v):
-        pairs = sum((v >> (2 * i) & 1) & (v >> (2 * i + 1) & 1) for i in range(n))
-        return (pairs + (v >> (2 * n - 2) & 1) + (v >> (2 * n - 1) & 1)) % 2
-
-    singular = {v for v in range(1, 1 << (2 * n)) if form(v) == 0}
-    return _flag_count(
-        0,
-        sorted(singular),
-        # every nonzero vector of the span is singular, which over F_2
-        # makes the span totally singular
-        lambda v, space: all(u ^ v in singular for u in space),
-        lambda space, v: space | {u ^ v for u in space},
-        sorted({min(i, n - 1) for i in circled}),
-    )
+    return _flag_count(_orthogonal_levels(n), sorted({min(i, n - 1) for i in circled}))
 
 
 def root_system_to_json(rs: RootSystem) -> dict:

@@ -3,8 +3,8 @@
 The scripts import from the package and from the tests' references, and
 their sweeps take minutes, so a moved or renamed name would otherwise
 show only when one is run.  Importing a script runs its top level, not
-``main``; the sweeps of ``borel_series_check.py`` also run here, on a
-catalog small enough for tier-1.
+``main``; the two fast scripts run whole, and the sweeps of
+``borel_series_check.py`` run on a catalog small enough for tier-1.
 """
 
 import importlib.util
@@ -31,6 +31,19 @@ def test_script_imports_without_running(path, monkeypatch):
     assert callable(_load(path, monkeypatch).main)
 
 
+def test_fast_scripts_run(monkeypatch, capsys):
+    # the two scripts that take about 0.1 s run whole, not only import
+    for name in ("killing_form_grid", "motive_skeletons"):
+        _load(SCRIPTS_DIR / f"{name}.py", monkeypatch).main()
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    for expected in (
+        "133-dimensional in all 32 cases; 2 anisotropic configuration(s)",
+        "Tate shifts: [0, 6, 15, 21]",
+        "Tate shifts: [0, 9, 15, 24]",
+    ):
+        assert expected in lines
+
+
 def test_borel_series_check_loads_without_test_extras():
     # the script imports the tests' reference module, never a test module,
     # so it runs where pytest and hypothesis are not installed
@@ -52,11 +65,13 @@ def test_borel_series_sweeps_on_a_tiny_catalog(monkeypatch, capsys):
         ("QUOTIENT_TYPES", ["A3", "B3"]), ("QUOTIENT_MAX_INDEX", 20),
         ("DOUBLE_COSET_TYPES", ["A3", "B3"]), ("DOUBLE_COSET_MAX_INDEX", 20),
         ("TRANSPOSED_TYPES", ["D4"]), ("TRANSPOSED_MAX_LEFT_INDEX", 20),
+        ("POINT_COUNT_TYPES", ["2A2", "2D4"]),
     ):
         monkeypatch.setattr(script, name, value)
     script.check_quotients()
     script.check_double_cosets("right")
     script.check_double_cosets("left")
+    script.check_point_counts()
     # the timings follow the colon
     assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
         "A3     7 quotients ok",
@@ -67,6 +82,9 @@ def test_borel_series_sweeps_on_a_tiny_catalog(monkeypatch, capsys):
         "100 double-coset cases of index <= 20",
         "D4     48 transposed cases ok",
         "48 double-coset cases of left index <= 20 < right index",
+        "2A2    1 point counts ok",
+        "2D4    7 point counts ok",
+        "8 point counts over F_2",
     ]
 
 

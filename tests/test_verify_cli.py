@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import random
 import re
@@ -299,13 +300,18 @@ def test_cli_poincare_conormed(capsys):
 
 def test_cli_conormed_2a12_borel(capsys):
     # W(A12) has 6227020800 elements, too many to walk; the closed form
-    # counts the sigma-fixed ones, W(C6)
-    nodes = ",".join(map(str, range(1, 13)))
-    code, out = run_cli(capsys, "poincare", "--type", "2A12", "--variety", nodes, "--conormed")
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["degree"] == payload["dim"] == 78
-    assert payload["value_at_1"] == 46080 == 2**6 * 720
+    # counts the sigma-fixed ones, W(C6).  2A89 is the largest twisted
+    # Borel variety whose numerator stays within the degree cap of 4096;
+    # its value at 1 is |W(C45)|
+    for rank, dim, value in ((12, 78, 46080), (89, 4005, 2**45 * math.factorial(45))):
+        nodes = ",".join(map(str, range(1, rank + 1)))
+        code, out = run_cli(
+            capsys, "poincare", "--type", f"2A{rank}", "--variety", nodes, "--conormed"
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["degree"] == payload["dim"] == dim
+        assert payload["value_at_1"] == value
 
 
 def test_cli_weyl_verbs(capsys):

@@ -263,12 +263,13 @@ def test_orbit_walk_makes_each_vector_once(label):
 
 @pytest.mark.parametrize("label,bound", [("G2", 5), ("F4", 11), ("B4", 7), ("D5", 7)])
 def test_packed_fields_reach_the_highest_coroot_height(label, bound):
-    # |mu_i| on the rho-orbit peaks at h - 1, which _Packing's 16-bit
-    # fields must hold; h - 1 >= 2 * rank on G2 and F4
+    # |mu_i| on the rho-orbit peaks at h - 1, which _Packing's biased
+    # bytes must hold; h - 1 >= 2 * rank on G2 and F4
     rs, packing, levels = _borel_orbit(label)
     assert bound == max(fundamental_degrees(rs)) - 1
     assert max(
-        abs(f - packing.BIAS) for level in levels for u in level for f in packing.fields(u)
+        abs(f - packing.BIAS)
+        for level in levels for u in level for f in u.to_bytes(rs.rank, "little")
     ) == bound
 
 
