@@ -38,7 +38,11 @@ Every command prints json; ``verify`` also prints text (its default) and
 the full ``tables magic`` listing also prints csv.  Any other ``--format``
 is a usage error.  JSON is written by ``_emit_json``, byte for byte as
 ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, without importing
-json.  The pinned tables are records in ``magictables`` and ``jinv``,
+json.  This module alone shapes the JSON: the other modules return
+values and records, a handler puts record fields in as they are
+(``_fields``) and names the keys, and ``_emit_json`` writes a node
+frozenset as its sorted list and an enum member as its value.  The
+pinned tables are records in ``magictables`` and ``jinv``,
 and the built-in fixtures a Python literal (``_data``): no built-in
 command loads json.  Only ``--fixtures PATH`` reads a JSON document.
 
@@ -60,9 +64,9 @@ where the whole command takes about 46 ms.  magicsq registers no atexit
 handler, starts no thread and keeps no file open for writing, so once
 the two streams are flushed finalization has nothing left to do.  Help
 and usage errors, which argparse ends with ``SystemExit``, take the same
-exit with its code: ``magicsq --help`` took a median of 56.7 ms, against
-66.7 ms through finalization (30 interleaved runs each, same VM; faster
-in 27 of 30).
+exit with its code, and ``main`` writes their text itself.  ``magicsq
+--help`` took a median of 56.7 ms, against 66.7 ms through finalization
+(30 interleaved runs each, same VM; faster in 27 of 30).
 """
 
 from __future__ import annotations
@@ -83,8 +87,10 @@ def _emit_json(obj) -> None:
     """Write obj and a newline, as ``json.dumps(obj, sort_keys=True, indent=2)``.
 
     Takes dicts with str keys, lists, tuples, and str, int, float, bool
-    and None of exactly those types; anything else, a subclass of str,
-    int or float included, raises TypeError.  json writes indented output
+    and None of exactly those types, and the two other types records
+    carry: a frozenset, written as its sorted list, and an enum member,
+    written as its value.  Anything else, a set or a subclass of str, int
+    or float included, raises TypeError.  json writes indented output
     with its pure-Python encoder, which is slower than this writer.
     """
     out: list[str] = []
@@ -167,6 +173,10 @@ def _json_value(obj, nl: str, put) -> None:
                 _json_value(item, inner, put)
             sep = comma
         put(nl + "]")
+    elif isinstance(obj, frozenset):  # a node set
+        _json_value(sorted(obj), nl, put)
+    elif isinstance(obj, enum.Enum):
+        _json_value(obj.value, nl, put)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -190,28 +200,15 @@ def _poly_list(text: str) -> list[polyring.IntPoly]:
 
 
 def _poly_payload(p: polyring.IntPoly) -> dict:
-    payload = polyring.to_json_dict(p)
-    payload["degree"] = p.degree
-    payload["pretty"] = polyring.format_poly(p)
-    payload["value_at_1"] = p(1)
-    return payload
-
-
-def _plain(value):
-    """A field as json data; str, int, bool and None pass unchanged."""
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, enum.Enum):
-        return value.value
-    return value
+    # coefficients as decimal strings, so a reader's float parser keeps them exact
+    return {"coeffs": [str(c) for c in p.coeffs], "degree": p.degree,
+            "pretty": polyring.format_poly(p), "value_at_1": p(1)}
 
 
 def _fields(rec, rename=None) -> dict:
-    """A record's fields through ``_plain``, keyed by name or by ``rename[name]``."""
+    """A record's fields as they are, keyed by name or by ``rename[name]``."""
     rename = rename or {}
-    return {rename.get(n, n): _plain(getattr(rec, n)) for n in type(rec).__slots__}
+    return {rename.get(n, n): getattr(rec, n) for n in type(rec).__slots__}
 
 
 # MagicCell field -> payload key, in csv column order
@@ -259,18 +256,18 @@ def _cmd_weyl(args):
         poly = weyl.quotient_poly(rs, parabolic)
         return {
             "type": args.type,
-            "parabolic": sorted(parabolic),
+            "parabolic": parabolic,
             "count": poly(1),
             "max_length": poly.degree,
-            "length_counts": [[l, c] for l, c in enumerate(poly.coeffs)],
+            "length_counts": list(enumerate(poly.coeffs)),
         }
     left = _nodes(args.left)
     right = _nodes(args.right)
     cells = weyl.double_cosets(rs, left, right, _star(rs, args))
     return {
         "type": args.type,
-        "left": sorted(left),
-        "right": sorted(right),
+        "left": left,
+        "right": right,
         "star": args.star,
         "cells": [
             {
@@ -302,7 +299,7 @@ def _cmd_poincare(args):
     poly = (poincare.conormed_poincare if args.conormed else poincare.poincare_poly)(fv)
     # the longest minimal coset rep is sigma-fixed, so both polynomials
     # have degree dim X
-    return dict(_poly_payload(poly), type=args.type, variety=sorted(fv.parabolic_type),
+    return dict(_poly_payload(poly), type=args.type, variety=fv.parabolic_type,
                 conormed=args.conormed, dim=poly.degree)
 
 
@@ -311,19 +308,19 @@ def _cmd_jinv(args):
         out = {}
         for label in jinv.supported_labels():
             prof = jinv.max_profile(label)
-            out[label] = {"degrees": list(prof.degrees), "caps": list(prof.caps)}
+            out[label] = {"degrees": prof.degrees, "caps": prof.caps}
         return {"prime": jinv.PRIME, "max_profiles": out}
     if args.verb == "poly":
         prof = jinv.profile(args.group, _ints(args.j, "value vector"))
         return dict(_poly_payload(jinv.upper_motive_poly(prof)), group=prof.group_label,
-                    j=list(prof.values), degrees=list(prof.degrees))
+                    j=prof.values, degrees=prof.degrees)
     profiles = jinv.enumerate_admissible(args.group)
     return {
         "group": jinv.normalize_label(args.group),
-        "degrees": list(profiles[0].degrees),
-        "caps": list(profiles[0].caps),
+        "degrees": profiles[0].degrees,
+        "caps": profiles[0].caps,
         "constraints_pinned": jinv.has_pinned_chain(args.group),
-        "values": [list(p.values) for p in profiles],
+        "values": [p.values for p in profiles],
     }
 
 
@@ -335,9 +332,9 @@ def _cmd_cgmb(args):
         target = rs.node_set() - variety
         return {
             "ambient": args.ambient,
-            "kernel": sorted(kernel),
-            "variety": sorted(variety),
-            "levi": sorted(target),
+            "kernel": kernel,
+            "variety": variety,
+            "levi": target,
             "star": args.star,
             "shifts": cgmb.tate_skeleton(rs, kernel, target, _star(rs, args)),
         }
@@ -398,8 +395,11 @@ def _cmd_tables(args):
 
 def _cmd_verify(args):
     report = verify.run_verify(args.filter)
-    out = report.to_json_obj() if args.format == "json" else report.to_text() + "\n"
-    return out, report.exit_code
+    if args.format == "text":
+        return report.to_text() + "\n", report.exit_code
+    checks = [dict(_fields(c, {"passed": "pass"}), runtime_ms=round(c.runtime_ms, 3))
+              for c in report.checks]
+    return {"all_pass": report.all_pass, "checks": checks}, report.exit_code
 
 
 _REQUIRED = {"required": True}
@@ -609,6 +609,32 @@ def _build_parser(argv: Sequence[str]):
     return top
 
 
+def _parse_with_argparse(argv: Sequence[str]):
+    """argparse's namespace for argv; help and usage errors raise SystemExit.
+
+    argparse's text is taken into buffers and written here, as every
+    other output is: argparse drops the OSError of its own write, so an
+    unbuffered stdout that cannot be written would otherwise exit 0.
+    """
+    import contextlib
+    import io
+
+    parser = _build_parser(argv)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
+            for name, value in vars(args).items():
+                if isinstance(value, list):  # ``--name=--``: argparse stores []
+                    parser.error(f"argument --{name}: expected one argument")
+    finally:
+        # only what argparse wrote: an empty write to /dev/full fails too
+        for stream, text in ((sys.stdout, out.getvalue()), (sys.stderr, err.getvalue())):
+            if text:
+                stream.write(text)
+    return args
+
+
 def _formats(args) -> tuple[str, ...]:
     """The output formats the parsed command prints, its default first."""
     if args.command == "verify":
@@ -621,13 +647,7 @@ def _formats(args) -> tuple[str, ...]:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse(argv)
-    if args is None:
-        parser = _build_parser(argv)
-        args = parser.parse_args(argv)
-        for name, value in vars(args).items():
-            if isinstance(value, list):  # ``--name=--``: argparse stores []
-                parser.error(f"argument --{name}: expected one argument")
+    args = _parse(argv) or _parse_with_argparse(argv)
     try:
         formats = _formats(args)
         args.format = args.format or formats[0]
@@ -664,12 +684,10 @@ def run() -> None:
     layer first executed inside ``main`` (``magicsq`` registers them
     lazily) whose file can no longer be read, and keeps its traceback.
     argparse ends help (code 0) and usage errors (code 2) with
-    ``SystemExit``; they end here like a return from ``main``, so the
-    rules above hold for help too while stdout is buffered, the default.
-    Unbuffered (``PYTHONUNBUFFERED``), the write that fails is argparse's
-    own, which drops the OSError, and help exits 0.  Any other exception,
-    and a ``SystemExit`` whose code is not an int, leave through the
-    normal exit.
+    ``SystemExit``; they end here like a return from ``main``, and ``main``
+    writes their text itself, so the rules above hold for help too.  Any
+    other exception, and a ``SystemExit`` whose code is not an int, leave
+    through the normal exit.
     """
     try:
         try:

@@ -28,9 +28,10 @@ import re
 from collections.abc import Iterable, Sequence
 
 
-# Largest degree parse_poly accepts and eval_rational multiplies out: far
-# above any degree the commands need (120, the E8 Borel variety), low
-# enough that no input allocates or divides without bound.
+# Largest degree parse_poly accepts and eval_rational takes for a
+# denominator or gives a quotient: far above any degree the commands need
+# (120, the E8 Borel variety), low enough that no input allocates or
+# divides without bound.
 MAX_DEGREE = 4096
 
 
@@ -217,11 +218,6 @@ def parse_poly(text: str) -> IntPoly:
     return IntPoly(out)
 
 
-def to_json_dict(p: IntPoly) -> dict:
-    """Machine form: big integers serialized as decimal strings."""
-    return {"coeffs": [str(c) for c in p.coeffs]}
-
-
 def _try_exact_div(p: IntPoly, q: IntPoly) -> IntPoly | None:
     """Quotient p/q when q divides p in Z[t], else None.
 
@@ -321,18 +317,20 @@ def eval_rational(
     Multiplies out both factor lists and divides.  The quotient must be
     a polynomial with integer coefficients; anything else signals a
     mistranscribed formula and raises, carrying the rational remainder.
-    A product above MAX_DEGREE raises ValueError before anything is
-    multiplied out.
+    A denominator product above MAX_DEGREE, or a numerator product above
+    MAX_DEGREE plus the denominator's degree, raises ValueError before
+    anything is multiplied out: the work stays within 2 * MAX_DEGREE and
+    a quotient within MAX_DEGREE.
     """
+    limit = MAX_DEGREE
     for side, factors in (
-        ("numerator", numerator_factors),
         ("denominator", denominator_factors),
+        ("numerator", numerator_factors),
     ):
         degree = sum(max(f.degree, 0) for f in factors)
-        if degree > MAX_DEGREE:
-            raise ValueError(
-                f"{side} product has degree {degree}, above the maximum {MAX_DEGREE}"
-            )
+        if degree > limit:
+            raise ValueError(f"{side} product has degree {degree}, above the maximum {limit}")
+        limit += degree
     num = IntPoly.one()
     for f in numerator_factors:
         num = num * f

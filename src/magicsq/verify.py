@@ -39,22 +39,6 @@ class VerifyReport:
     def exit_code(self) -> int:
         return 0 if self.all_pass else 1
 
-    def to_json_obj(self) -> dict:
-        return {
-            "all_pass": self.all_pass,
-            "checks": [
-                {
-                    "name": c.name,
-                    "claim": c.claim,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "pass": c.passed,
-                    "runtime_ms": round(c.runtime_ms, 3),
-                }
-                for c in self.checks
-            ],
-        }
-
     def to_text(self) -> str:
         lines = []
         for c in self.checks:

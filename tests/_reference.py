@@ -472,6 +472,56 @@ def orthogonal_flag_count(n: int, circled: Iterable[int]) -> int:
     return _flag_count(_orthogonal_levels(n), sorted({min(i, n - 1) for i in circled}))
 
 
+@functools.cache
+def _symplectic_levels(n):
+    """``_subspace_levels`` of the alternating form on F_3^(2n), to dimension n.
+
+    A vector is an int, coordinate k in bits 3k to 3k + 2, so adding two
+    vectors adds every coordinate at once; a sum of 3 or 4 loses 3.  The
+    form is the sum of x(2i-1) y(2i) - x(2i) y(2i-1), and every vector is
+    isotropic.
+    """
+    low = sum(1 << (3 * k) for k in range(2 * n))
+
+    def add(u, v):
+        x = u + v
+        return x - 3 * ((x >> 2 | x >> 1 & x) & low)
+
+    coords = {
+        sum(c << (3 * k) for k, c in enumerate(x)): x
+        for x in itertools.product(range(3), repeat=2 * n)
+    }
+    del coords[0]
+    perp = {}
+    for u, x in coords.items():
+        if u not in perp:  # one set for u and -u = u + u
+            # B(u, y) as the dot product of y with J x
+            jx = [c for i in range(n) for c in (-x[2 * i + 1], x[2 * i])]
+            perp[u] = perp[add(u, u)] = {
+                v for v, y in coords.items() if sum(map(operator.mul, jx, y)) % 3 == 0
+            }
+
+    def span(space, v):
+        twice = add(v, v)
+        return tuple(sorted({w for u in space for w in (u, add(u, v), add(u, twice))}))
+
+    return _subspace_levels(set(coords), perp, span, n)
+
+
+def symplectic_flag_count(n: int, circled: Iterable[int]) -> int:
+    """F_3-points of the flag variety X_I of C_n, counted as linear algebra.
+
+    Sp(2n) over F_3 preserves the standard alternating form on F_3^(2n),
+    whose totally isotropic subspaces have dimension at most n.  A circled
+    set I names the flags of totally isotropic subspaces of the dimensions
+    i in I; this counts them, with no root system and no Weyl group.
+    W(B_n) = W(C_n), so the count is also that of B_n's quotient
+    polynomial at 3.  The subspaces of each n are grown once
+    (``_symplectic_levels``).
+    """
+    return _flag_count(_symplectic_levels(n), sorted(set(circled)))
+
+
 def root_system_to_json(rs: RootSystem) -> dict:
     """Golden-file form: type label, Cartan matrix, ordered positive roots."""
     return {
@@ -482,5 +532,5 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 
 def from_json_dict(obj: dict) -> IntPoly:
-    """The polynomial of ``polyring.to_json_dict``'s machine form."""
+    """The polynomial of a polynomial payload's decimal ``coeffs``."""
     return IntPoly([int(c) for c in obj["coeffs"]])

@@ -195,8 +195,6 @@ def test_unwritable_stdout_exits_120_with_one_line(argv, unbuffered):
     assert _into_full_stdout(argv, unbuffered) == (120, _CANNOT_WRITE)
 
 
-# Help only with stdout buffered: unbuffered, argparse swallows the OSError
-# of its own write, so nothing is left to fail at the flush.
 def test_help_into_a_closed_stdout_exits_120_silently():
     assert _into_closed_stdout(["--help"]) == (120, b"")
 
@@ -204,6 +202,26 @@ def test_help_into_a_closed_stdout_exits_120_silently():
 @needs_dev_full
 def test_help_into_an_unwritable_stdout_exits_120_with_one_line():
     assert _into_full_stdout(["--help"]) == (120, _CANNOT_WRITE)
+
+
+# main writes argparse's help itself, so an unbuffered stdout fails there,
+# not in argparse's own write, which would drop the OSError and exit 0
+def test_unbuffered_help_into_a_closed_stdout_exits_120_silently():
+    assert _into_closed_stdout(["--help"], unbuffered=True) == (120, b"")
+
+
+@needs_dev_full
+def test_unbuffered_help_into_an_unwritable_stdout_exits_120_with_one_line():
+    assert _into_full_stdout(["--help"], unbuffered=True) == (120, _CANNOT_WRITE)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_usage_error_keeps_its_code_and_text_with_an_unwritable_stdout(unbuffered):
+    # argparse writes nothing to stdout here, and nothing is written to it
+    code, err = _into_full_stdout(["weyl", "order"], unbuffered)
+    assert code == 2
+    assert err.startswith(b"usage: magicsq weyl order") and err.count(b"\n") == 2
 
 
 def test_help_and_usage_errors_print_what_argparse_prints(monkeypatch, capsys):

@@ -32,6 +32,7 @@ from _reference import (
     orthogonal_flag_count,
     sigma_fixed_reference,
     sigma_stable_varieties,
+    symplectic_flag_count,
     unitary_flag_count,
 )
 
@@ -269,6 +270,20 @@ def test_conormed_counts_the_points_of_the_orthogonal_flag_varieties():
         points = orthogonal_flag_count(4, circled)
         assert points == ORTHOGONAL_FLAG_COUNTS[circled]
         assert conormed_poincare(fv)(2) == points, fv
+
+
+def test_split_counts_are_the_points_of_the_symplectic_flag_varieties():
+    # the only point count of a non-simply-laced quotient; W(B_n) = W(C_n),
+    # so the same count checks B_n's closed form
+    for n in (2, 3):
+        for k in range(1, n + 1):
+            for circled in itertools.combinations(range(1, n + 1), k):
+                points = symplectic_flag_count(n, circled)
+                for family in ("C", "B"):
+                    assert poincare_poly(_fv(f"{family}{n}", circled))(3) == points, circled
+    # Borel: (3^4 - 1) / 2 lines, then 4 in each line's perp mod the line
+    assert symplectic_flag_count(2, (1, 2)) == 40 * 4 == 160
+    assert symplectic_flag_count(3, (1, 2, 3)) == 364 * 40 * 4 == 58240
 
 
 def test_twisted_quotient_with_the_identity_is_the_split_one():

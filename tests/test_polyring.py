@@ -17,11 +17,8 @@ from magicsq.polyring import (
     eval_rational,
     format_poly,
     parse_poly,
-    to_json_dict,
 )
 from magicsq.verify import _bottom_up_quotient
-
-from _reference import from_json_dict
 
 ONE_PLUS_T3 = IntPoly([1, 0, 0, 1])
 
@@ -192,13 +189,6 @@ def test_parse_poly_refuses_a_dangling_sign(text):
 ])
 def test_parse_poly_signed_terms(text, coeffs):
     assert parse_poly(text).coeffs == coeffs
-
-
-def test_json_round_trip():
-    p = IntPoly([10**30, -5, 0, 3])
-    d = to_json_dict(p)
-    assert d["coeffs"][0] == str(10**30)
-    assert from_json_dict(d) == p
 
 
 def test_shift_and_monomial():

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import magicsq
-from magicsq import _data, cgmb, jinv, poincare, qform, verify, weyl
+from magicsq import _data, cgmb, jinv, magictables, poincare, qform, verify, weyl
 from magicsq.cli import _emit_json, main
-from magicsq.polyring import MAX_DEGREE, IntPoly, parse_poly
+from magicsq.polyring import MAX_DEGREE, IntPoly, format_poly, parse_poly
 from magicsq.rootsys import build_root_system
 from magicsq.verify import CheckResult, VerifyReport, fixture_names, run_fixture, run_verify
 
@@ -188,9 +188,27 @@ def test_report_rendering_failure_path():
     assert report.exit_code == 1
     text = report.to_text()
     assert "✗" in text and "expected" in text
-    obj = report.to_json_obj()
-    assert obj["all_pass"] is False
-    assert obj["checks"][0]["pass"] is False
+
+
+def test_cli_verify_json_payload_of_a_failing_report(monkeypatch, capsys):
+    # the verify handler alone shapes the report: "passed" prints as "pass",
+    # runtime_ms rounded to the microsecond, every other field as it is
+    report = VerifyReport([
+        CheckResult("fake", "a fake failing check", [1, 2], {"n": 2}, False, 0.123456),
+        CheckResult("ok", "a passing check", 3, 3, True, 2.0),
+    ])
+    monkeypatch.setattr(verify, "run_verify", lambda pattern: report)
+    code, out = run_cli(capsys, "--format", "json", "verify")
+    assert code == 1
+    assert json.loads(out) == {
+        "all_pass": False,
+        "checks": [
+            {"name": "fake", "claim": "a fake failing check", "expected": [1, 2],
+             "actual": {"n": 2}, "pass": False, "runtime_ms": 0.123},
+            {"name": "ok", "claim": "a passing check", "expected": 3,
+             "actual": 3, "pass": True, "runtime_ms": 2.0},
+        ],
+    }
 
 
 def test_fixture_registry():
@@ -287,6 +305,17 @@ def test_cli_poincare_round_trip(capsys):
     assert payload["value_at_1"] == 72
 
 
+def test_cli_polynomial_payload_keeps_big_coefficients_exact(capsys):
+    # coefficients print as decimal strings, so 10^30 survives a float parser
+    p = IntPoly([10**30, -5, 0, 3])
+    code, out = run_cli(capsys, "poly", "eval-rational", "--num", format_poly(p), "--den", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload == {"coeffs": [str(10**30), "-5", "0", "3"], "degree": 3,
+                       "pretty": format_poly(p), "value_at_1": 10**30 - 2}
+    assert from_json_dict(payload) == p
+
+
 def test_cli_poincare_conormed(capsys):
     code, out = run_cli(capsys, "poincare", "--type", "2E6", "--variety", "1,6", "--conormed")
     payload = json.loads(out)
@@ -300,10 +329,12 @@ def test_cli_poincare_conormed(capsys):
 
 def test_cli_conormed_2a12_borel(capsys):
     # W(A12) has 6227020800 elements, too many to walk; the closed form
-    # counts the sigma-fixed ones, W(C6).  2A89 is the largest twisted
-    # Borel variety whose numerator stays within the degree cap of 4096;
-    # its value at 1 is |W(C45)|
-    for rank, dim, value in ((12, 78, 46080), (89, 4005, 2**45 * math.factorial(45))):
+    # counts the sigma-fixed ones, W(C6).  2A90 is the largest twisted
+    # Borel variety whose answer stays within the degree cap of 4096; its
+    # numerator has degree 4139, within the cap plus the denominator's 44.
+    # Both 2A89 and 2A90 have |W(C45)| points at 1
+    w_c45 = 2**45 * math.factorial(45)
+    for rank, dim, value in ((12, 78, 46080), (89, 4005, w_c45), (90, 4095, w_c45)):
         nodes = ",".join(map(str, range(1, rank + 1)))
         code, out = run_cli(
             capsys, "poincare", "--type", f"2A{rank}", "--variety", nodes, "--conormed"
@@ -462,10 +493,22 @@ def test_emit_json_cases(obj):
     assert _written(obj) == _dumped(obj)
 
 
+def test_emit_json_writes_node_sets_and_enum_members():
+    # the two non-json types records carry: a frozenset as its sorted list,
+    # an enum member as its value, at the top, in a list and as a dict value
+    rost = magictables.RostCondition.ZERO
+    obj = {"nodes": frozenset({6, 1, 3}), "rost": rost, "both": [frozenset(), rost]}
+    assert _written(obj) == _dumped({"nodes": [1, 3, 6], "rost": "zero", "both": [[], "zero"]})
+    assert _written(frozenset({2, 1})) == _dumped([1, 2])
+    assert _written(rost) == _dumped("zero")
+
+
 @pytest.mark.parametrize(
     "obj", [{1, 2}, b"bytes", parse_poly("1+t"), [set()], {"a": [{(1, 2): 3}]},
             # json would write this key as "1"; no command prints a non-str key
-            {1: "a"}]
+            {1: "a"},
+            # a set where node sets are frozensets; what a frozenset holds
+            {"nodes": {1, 2}}, frozenset({b"x"}), [frozenset({parse_poly("t")})]]
 )
 def test_emit_json_rejects_other_types(obj):
     with pytest.raises(TypeError):
