@@ -31,7 +31,10 @@ sizes rescaled by |W_I| / |W_J|.  Sixth, for every sigma-stable variety
 over POINT_COUNT_TYPES, the conormed polynomial at t = 2 against its
 F_2-points counted as flags of totally isotropic subspaces
 (``unitary_flag_count`` for 2A_n, ``orthogonal_flag_count`` for 2D_n),
-with no Weyl group on that side.  The sweeps take minutes, which is why
+and for every variety over SPLIT_POINT_COUNT_TYPES, the Poincare
+polynomial at t = 3 against its F_3-points counted as flags of a
+symplectic space (``symplectic_flag_count``; W(B_n) = W(C_n)), with no
+Weyl group on that side.  The sweeps take minutes, which is why
 this is a script and not a test; ``tests/test_scripts.py`` runs them on
 a tiny catalog.
 
@@ -44,7 +47,7 @@ import pathlib
 import sys
 import time
 
-from magicsq.poincare import conormed_poincare
+from magicsq.poincare import conormed_poincare, poincare_poly
 from magicsq.polyring import IntPoly
 from magicsq.rootsys import CartanType, build_root_system, opposition_involution
 from magicsq.weyl import (
@@ -82,6 +85,9 @@ TRANSPOSED_TYPES = ["D6", "E6", "E7"]
 TRANSPOSED_MAX_LEFT_INDEX = 20_000
 # every sigma-stable variety, whatever its index; 2A5 and 2D5 take seconds
 POINT_COUNT_TYPES = ["2A2", "2A3", "2A4", "2A5", "2D4", "2D5"]
+# every variety of these split types; the rank-4 symplectic space over F_3
+# has 3280 lines and 918,400 totally isotropic subspaces of dimension 3
+SPLIT_POINT_COUNT_TYPES = ["B4", "C4"]
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 from _reference import (  # noqa: E402
@@ -93,6 +99,7 @@ from _reference import (  # noqa: E402
     orthogonal_flag_count,
     sigma_fixed_reference,
     sigma_stable_varieties,
+    symplectic_flag_count,
     unitary_flag_count,
 )
 
@@ -227,29 +234,34 @@ def check_conormed():
 
 
 def check_point_counts():
-    cases = 0
-    formula_s = count_s = 0.0
-    for label in POINT_COUNT_TYPES:
-        count = unitary_flag_count if label.startswith("2A") else orthogonal_flag_count
-        checked = 0
-        for fv in sigma_stable_varieties(label, math.inf):
-            circled = sorted(fv.parabolic_type)
-            t0 = time.perf_counter()
-            by_formula = conormed_poincare(fv)(2)
-            t1 = time.perf_counter()
-            points = count(fv.ambient.rank, circled)
-            t2 = time.perf_counter()
-            formula_s += t1 - t0
-            count_s += t2 - t1
-            if by_formula != points:
-                raise AssertionError(
-                    f"{label} X_{circled}: formula {by_formula} != {points} points"
-                )
-            checked += 1
-        print(f"{label:3}  {checked:3} point counts ok")
-        cases += checked
-    print(f"{cases} point counts over F_2: formula {formula_s:.2f}s, "
-          f"linear algebra {count_s:.2f}s")
+    counts = {"2A": unitary_flag_count, "2D": orthogonal_flag_count}
+    for q, labels, poly in (
+        (2, POINT_COUNT_TYPES, conormed_poincare),
+        (3, SPLIT_POINT_COUNT_TYPES, poincare_poly),  # sigma = 1: every variety
+    ):
+        cases = 0
+        formula_s = count_s = 0.0
+        for label in labels:
+            count = counts.get(label[:2], symplectic_flag_count)
+            checked = 0
+            for fv in sigma_stable_varieties(label, math.inf):
+                circled = sorted(fv.parabolic_type)
+                t0 = time.perf_counter()
+                by_formula = poly(fv)(q)
+                t1 = time.perf_counter()
+                points = count(fv.ambient.rank, circled)
+                t2 = time.perf_counter()
+                formula_s += t1 - t0
+                count_s += t2 - t1
+                if by_formula != points:
+                    raise AssertionError(
+                        f"{label} X_{circled}: formula {by_formula} != {points} points"
+                    )
+                checked += 1
+            print(f"{label:3}  {checked:3} point counts ok")
+            cases += checked
+        print(f"{cases} point counts over F_{q}: formula {formula_s:.2f}s, "
+              f"linear algebra {count_s:.2f}s")
 
 
 def main():

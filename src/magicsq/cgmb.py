@@ -24,6 +24,9 @@ from . import rootsys, weyl
 from ._record import record
 from .polyring import IntPoly
 
+# placed blocks, the scale of weyl's enumeration limit
+_DEPTH_LIMIT = 100_000
+
 KIND_TATE = "tate"
 KIND_UPPER = "upper"
 KIND_COR_QUADRATIC = "cor-quadratic"
@@ -96,6 +99,21 @@ def check_blocks(blocks: Sequence[IntPoly]) -> None:
             raise ValueError("blocks must have nonnegative coefficients")
 
 
+def check_search_depth(residual: IntPoly, blocks: Sequence[IntPoly]) -> None:
+    """Refuse a residual that ``express_residual`` could place too many blocks in.
+
+    Every coefficient is nonnegative, so each placed block lowers the
+    residual's value at 1 by at least the least value of a block at 1,
+    and the search is at most residual(1) // min b(1) blocks deep.
+    """
+    depth = residual(1) // min(b(1) for b in blocks)
+    if depth > _DEPTH_LIMIT:
+        raise ValueError(
+            f"the residual may take {depth} blocks, above the search depth limit "
+            f"of {_DEPTH_LIMIT}"
+        )
+
+
 def express_residual(
     residual: IntPoly, blocks: Sequence[IntPoly]
 ) -> list[tuple[int, int]] | None:
@@ -108,12 +126,14 @@ def express_residual(
     coefficients; blocks must be nonzero.
 
     The search is depth-first on an explicit stack, one frame per placed
-    block, so a witness of any number of terms is found; a residual that
-    has no expression is remembered and never searched again.
+    block, and a residual that has no expression is remembered and never
+    searched again.  A residual that could take more than _DEPTH_LIMIT
+    blocks raises ValueError (``check_search_depth``).
     """
     if any(c < 0 for c in residual.coeffs):
         raise ValueError("residual must have nonnegative coefficients")
     check_blocks(blocks)
+    check_search_depth(residual, blocks)
     normalized = []
     for b in blocks:
         v = b.valuation()

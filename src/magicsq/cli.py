@@ -61,12 +61,14 @@ of ``main`` to the parent's ``wait4``, ``poincare --type E7 --variety 2``
 took a median of 11.6 ms with the normal exit and 1.1 ms with
 ``os._exit`` (30 runs each, shared 2-core x86-64 VM, CPython 3.11.7),
 where the whole command takes about 46 ms.  magicsq registers no atexit
-handler, starts no thread and keeps no file open for writing, so once
-the two streams are flushed finalization has nothing left to do.  Help
-and usage errors, which argparse ends with ``SystemExit``, take the same
-exit with its code, and ``main`` writes their text itself.  ``magicsq
---help`` took a median of 56.7 ms, against 66.7 ms through finalization
-(30 interleaved runs each, same VM; faster in 27 of 30).
+handler, starts no thread and keeps no file open for writing, and the one
+child process it starts, ``verify``'s fuzz worker, is reaped before
+``main`` returns, so once the two streams are flushed finalization has
+nothing left to do.  Help and usage errors, which argparse ends with
+``SystemExit``, take the same exit with its code, and ``main`` writes
+their text itself.  ``magicsq --help`` took a median of 56.7 ms, against
+66.7 ms through finalization (30 interleaved runs each, same VM; faster
+in 27 of 30).
 """
 
 from __future__ import annotations

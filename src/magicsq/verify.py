@@ -4,10 +4,20 @@ Every check records the fact it pins (``claim``), the expected value,
 the recomputed value, and its runtime.  The suite is deterministic: the
 fuzz check uses a fixed seed, and checks are reported sorted by name.
 Exit-code convention for the CLI: 0 when everything passes, 1 otherwise.
+
+The 10^4-case semiring fuzz takes most of the suite's time, so when it
+runs with other checks on a host with a second usable CPU, a forked
+worker runs it beside them (``run_verify``).  The worker sends its
+result back as ``marshal`` bytes through a pipe, ends in ``os._exit``,
+and is reaped before ``run_verify`` returns or raises; where it cannot
+run, or its result does not come back, the fuzz runs in this process.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 import time
 
 from . import cgmb, jinv, magictables, poincare, qform, weyl
@@ -124,7 +134,8 @@ def load_fixture_doc(path: str) -> dict:
     computed, so a type with too many positive roots (refused before its
     root system is built) or a polynomial of too high a degree is refused
     here, as its run would refuse it; and the ``subtract`` terms must leave
-    a residual with no negative coefficient.  Every failure raises
+    a residual with no negative coefficient, small enough for the search
+    (``cgmb.check_search_depth``).  Every failure raises
     ValueError with a one-line message.
     """
     import json  # only an alternative fixtures document needs it here
@@ -154,8 +165,10 @@ def load_fixture_doc(path: str) -> dict:
                 raise ValueError(f"kind must be one of {', '.join(_FIXTURE_KINDS)}")
             fv, terms, blocks, _ = _read_fixture(f)
             residual = _residual(fv, terms)
-            if blocks is not None and any(c < 0 for c in residual.coeffs):
-                raise ValueError("residual must have nonnegative coefficients")
+            if blocks is not None:
+                if any(c < 0 for c in residual.coeffs):
+                    raise ValueError("residual must have nonnegative coefficients")
+                cgmb.check_search_depth(residual, blocks)
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"fixture {name!r} in {path}: {exc}") from exc
     return doc
@@ -584,8 +597,95 @@ def check_names() -> list[str]:
     return sorted(name for name, _, _ in _CHECKS)
 
 
+def _timed(thunk) -> tuple[object, object, float]:
+    """A check's (expected, actual) and its wall time in ms, run here."""
+    t0 = time.perf_counter()
+    expected, actual = thunk()
+    return expected, actual, (time.perf_counter() - t0) * 1000.0
+
+
+def _result(check, timed: tuple | None = None) -> CheckResult:
+    """The result of a check, from its timed values or by running it here."""
+    name, claim, thunk = check
+    expected, actual, ms = timed or _timed(thunk)
+    return CheckResult(name, claim, expected, actual, expected == actual, ms)
+
+
+_FUZZ = "props-semiring-implies-ring"
+
+
+def _can_fork() -> bool:
+    """Whether a forked worker can run beside this process: a second CPU, one thread."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    threading = sys.modules.get("threading")
+    return cpus > 1 and (threading is None or threading.active_count() == 1)
+
+
+def _fork_worker(thunk) -> tuple[int, int] | None:
+    """Fork a child that runs thunk and sends ``_timed(thunk)`` back as marshal bytes.
+
+    Returns the child's pid and the read end of its pipe, or None if the
+    fork fails.  The child ends in ``os._exit``, 0 once everything is
+    written and 1 on any exception, so it never returns into the caller
+    and never flushes the stdio buffers it inherited.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no memory or process left for a child: run it here
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        data = memoryview(marshal.dumps(_timed(thunk)))
+        while data:
+            data = data[os.write(w, data) :]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, r: int) -> tuple | None:
+    """What the worker sent, once it has exited; None if nothing readable came back."""
+    chunks = []
+    try:
+        while chunk := os.read(r, 65536):
+            chunks.append(chunk)
+    finally:
+        os.close(r)
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped already: this process ignores SIGCHLD
+            pass
+    try:
+        return marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError, TypeError):  # the worker raised before it wrote
+        return None
+
+
 def run_verify(pattern: str | None = None) -> VerifyReport:
-    """Run all checks (or those matching a glob), sorted by name."""
+    """Run all checks (or those matching a glob), sorted by name.
+
+    When the semiring fuzz, by far the slowest check, is selected with
+    another check, and ``_can_fork`` (``os.fork`` exists, at least 2 CPUs
+    are usable, one thread is alive), a forked worker runs the fuzz while
+    this process runs the others in name order.  The worker is reaped
+    before this returns or raises.  If its result is missing or
+    unreadable, the fuzz runs here, so a failure or exception is the one
+    the sequential run gives, and an exception of a check after the fuzz
+    is raised only once the fuzz has run without one.  ``runtime_ms`` is
+    each check's own wall time, in the process that ran it.
+    """
     selected = sorted(_CHECKS, key=lambda c: c[0])
     if pattern is not None:
         import fnmatch  # only a --filter needs it
@@ -595,12 +695,24 @@ def run_verify(pattern: str | None = None) -> VerifyReport:
             raise ValueError(
                 f"no checks match {pattern!r}; available: {', '.join(check_names())}"
             )
-    results = []
-    for name, claim, thunk in selected:
-        t0 = time.perf_counter()
-        expected, actual = thunk()
-        ms = (time.perf_counter() - t0) * 1000.0
-        results.append(
-            CheckResult(name, claim, expected, actual, expected == actual, ms)
-        )
-    return VerifyReport(results)
+    names = [name for name, _, _ in selected]
+    worker = None
+    if _FUZZ in names and len(names) > 1 and _can_fork():
+        k = names.index(_FUZZ)
+        worker = _fork_worker(selected[k][2])
+    if worker is None:
+        return VerifyReport([_result(c) for c in selected])
+    pid, r = worker
+    held = None
+    try:
+        head = [_result(c) for c in selected[:k]]
+        try:
+            tail = [_result(c) for c in selected[k + 1 :]]
+        except BaseException as exc:  # the sequential run raises it after the fuzz
+            held, tail = exc, []
+    finally:
+        sent = _reap(pid, r)
+    fuzz = _result(selected[k], sent)
+    if held is not None:
+        raise held
+    return VerifyReport([*head, fuzz, *tail])

@@ -16,7 +16,9 @@ tests and ``scripts/borel_series_check.py`` compare the package against
 them.  Outside W altogether, ``unitary_flag_count`` and
 ``orthogonal_flag_count`` count the F_2-points of the flag varieties of
 2A_n and 2D_n as flags of totally isotropic subspaces of a Hermitian
-space over F_4 and of a minus-type quadratic space over F_2.  This
+space over F_4 and of a minus-type quadratic space over F_2, and
+``symplectic_flag_count`` the F_3-points of those of C_n (and so of
+B_n) as flags of a symplectic space over F_3.  This
 module imports only magicsq, so the script runs without the test
 extras.  Also here: the golden-file forms of a root system and a
 polynomial, a simple root's index and a polynomial's coefficient, which
@@ -472,40 +474,82 @@ def orthogonal_flag_count(n: int, circled: Iterable[int]) -> int:
     return _flag_count(_orthogonal_levels(n), sorted({min(i, n - 1) for i in circled}))
 
 
-@functools.cache
-def _symplectic_levels(n):
-    """``_subspace_levels`` of the alternating form on F_3^(2n), to dimension n.
+def _kernel_mask(f) -> int:
+    """Bit mask of the vectors v of F_3^len(f) with sum f_k v_k = 0 (mod 3).
 
-    A vector is an int, coordinate k in bits 3k to 3k + 2, so adding two
-    vectors adds every coordinate at once; a sum of 3 or 4 loses 3.  The
-    form is the sum of x(2i-1) y(2i) - x(2i) y(2i-1), and every vector is
-    isotropic.
+    A vector is its index sum v_k 3^k, and bit v of the mask is set iff v
+    is in the kernel.  The vectors of each value are built digit by digit:
+    v + c 3^k has the value of v plus c f_k.
     """
-    low = sum(1 << (3 * k) for k in range(2 * n))
+    by_value = [1, 0, 0]  # the zero vector of F_3^0 has value 0
+    width = 1
+    for fk in f:
+        by_value = [
+            by_value[r] | by_value[(r - fk) % 3] << width | by_value[(r + fk) % 3] << 2 * width
+            for r in range(3)
+        ]
+        width *= 3
+    return by_value[0]
 
-    def add(u, v):
-        x = u + v
-        return x - 3 * ((x >> 2 | x >> 1 & x) & low)
 
-    coords = {
-        sum(c << (3 * k) for k, c in enumerate(x)): x
-        for x in itertools.product(range(3), repeat=2 * n)
-    }
-    del coords[0]
-    perp = {}
-    for u, x in coords.items():
-        if u not in perp:  # one set for u and -u = u + u
-            # B(u, y) as the dot product of y with J x
-            jx = [c for i in range(n) for c in (-x[2 * i + 1], x[2 * i])]
-            perp[u] = perp[add(u, u)] = {
-                v for v, y in coords.items() if sum(map(operator.mul, jx, y)) % 3 == 0
-            }
+def _isotropic_subspace_counts(size, perp, top):
+    """The number of totally isotropic subspaces of F_3^size of each dimension <= top.
 
-    def span(space, v):
-        twice = add(v, v)
-        return tuple(sorted({w for u in space for w in (u, add(u, v), add(u, twice))}))
+    ``perp(v)`` is the bit mask of the vectors orthogonal to the vector of
+    index v (see ``_kernel_mask``).  Each subspace is walked once, depth
+    first, as its reduced row echelon basis: rows r_1, ..., r_d with
+    leading entry 1 at increasing columns and zeros at the other rows'
+    leading columns.  Its first d - 1 rows are the basis of a subspace
+    one dimension down, so a subspace grows by each row v orthogonal to
+    every row so far (the common perp mask) whose leading 1 lies at a
+    column p after the last leading column, where every row so far is
+    zero.  Every vector of an alternating form is isotropic, so no vector
+    is tested against itself.
+    """
+    leading = [  # the vectors whose first nonzero coordinate is a 1 at p
+        sum(1 << (3**p + 3 ** (p + 1) * t) for t in range(3 ** (size - p - 1)))
+        for p in range(size)
+    ]
+    counts = [0] * (top + 1)
+    stack = [((), (1 << 3**size) - 1, -1)]  # rows, their common perp, last column
+    while stack:
+        rows, common, last = stack.pop()
+        counts[len(rows)] += 1
+        if len(rows) == top:
+            continue
+        for p in range(last + 1, size):
+            if any(r // 3**p % 3 for r in rows):
+                continue
+            grow = common & leading[p]
+            while grow:
+                low = grow & -grow
+                grow ^= low
+                v = low.bit_length() - 1
+                stack.append((rows + (v,), common & perp(v), p))
+    return counts
 
-    return _subspace_levels(set(coords), perp, span, n)
+
+@functools.cache
+def _symplectic_counts(n):
+    """``_isotropic_subspace_counts`` of the alternating form on F_3^(2n), to dimension n.
+
+    The form is the sum of x(2i-1) y(2i) - x(2i) y(2i-1), so B(x, .) is
+    the functional J x.
+    """
+
+    @functools.cache
+    def perp(v):
+        x = [v // 3**k % 3 for k in range(2 * n)]
+        return _kernel_mask([c for i in range(n) for c in (-x[2 * i + 1], x[2 * i])])
+
+    return _isotropic_subspace_counts(2 * n, perp, n)
+
+
+@functools.cache
+def _subspace_counts(m):
+    """The number of subspaces of F_3^m of each dimension: the zero form's counts."""
+    everything = (1 << 3**m) - 1
+    return _isotropic_subspace_counts(m, lambda v: everything, m)
 
 
 def symplectic_flag_count(n: int, circled: Iterable[int]) -> int:
@@ -515,11 +559,21 @@ def symplectic_flag_count(n: int, circled: Iterable[int]) -> int:
     whose totally isotropic subspaces have dimension at most n.  A circled
     set I names the flags of totally isotropic subspaces of the dimensions
     i in I; this counts them, with no root system and no Weyl group.
-    W(B_n) = W(C_n), so the count is also that of B_n's quotient
-    polynomial at 3.  The subspaces of each n are grown once
-    (``_symplectic_levels``).
+    Every subspace of a totally isotropic space is totally isotropic, so a
+    flag is a totally isotropic subspace of the top dimension m of I and a
+    flag of the dimensions I - {m} in it, a plain space F_3^m; the counts
+    of subspaces of each dimension are walked once per n
+    (``_symplectic_counts``) and per m (``_subspace_counts``).  W(B_n) =
+    W(C_n), so the count is also that of B_n's quotient polynomial at 3.
     """
-    return _flag_count(_symplectic_levels(n), sorted(set(circled)))
+    dims = sorted(set(circled))
+    counts = _symplectic_counts(n)
+    flags = 1
+    while dims:
+        top = dims.pop()
+        flags *= counts[top]
+        counts = _subspace_counts(top)
+    return flags
 
 
 def root_system_to_json(rs: RootSystem) -> dict:

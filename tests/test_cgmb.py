@@ -163,6 +163,21 @@ def test_express_residual_places_more_blocks_than_the_recursion_limit():
     assert witness == [(0, shift) for shift in range(6000)]
 
 
+def test_express_residual_refuses_a_search_deeper_than_the_limit():
+    # the D7 Borel variety is 322,560 Tate terms: one frame per placed block
+    # would hold 205 MB, so the search refuses before it starts
+    borel = poincare_poly(FlagVariety(CartanType("D", 7), frozenset(range(1, 8))))
+    with pytest.raises(
+        ValueError,
+        match=r"^the residual may take 322560 blocks, above the search depth limit of 100000$",
+    ):
+        express_residual(borel, [IntPoly([1])])
+    # the bound is the residual's value at 1 over the least block value at 1
+    assert len(express_residual(IntPoly([200_000]), [IntPoly([2]), IntPoly([3])])) == 100_000
+    with pytest.raises(ValueError, match="may take 100001 blocks"):
+        express_residual(IntPoly([200_002]), [IntPoly([3]), IntPoly([2])])
+
+
 def test_express_residual_shift_normalized_block():
     # block t^2 * (1 + t) placed at effective shift e - valuation
     block = IntPoly([0, 0, 1, 1])

@@ -65,7 +65,7 @@ def test_borel_series_sweeps_on_a_tiny_catalog(monkeypatch, capsys):
         ("QUOTIENT_TYPES", ["A3", "B3"]), ("QUOTIENT_MAX_INDEX", 20),
         ("DOUBLE_COSET_TYPES", ["A3", "B3"]), ("DOUBLE_COSET_MAX_INDEX", 20),
         ("TRANSPOSED_TYPES", ["D4"]), ("TRANSPOSED_MAX_LEFT_INDEX", 20),
-        ("POINT_COUNT_TYPES", ["2A2", "2D4"]),
+        ("POINT_COUNT_TYPES", ["2A2", "2D4"]), ("SPLIT_POINT_COUNT_TYPES", ["B2", "C3"]),
     ):
         monkeypatch.setattr(script, name, value)
     script.check_quotients()
@@ -85,6 +85,9 @@ def test_borel_series_sweeps_on_a_tiny_catalog(monkeypatch, capsys):
         "2A2    1 point counts ok",
         "2D4    7 point counts ok",
         "8 point counts over F_2",
+        "B2     3 point counts ok",
+        "C3     7 point counts ok",
+        "10 point counts over F_3",
     ]
 
 

@@ -2,6 +2,7 @@ import ast
 import collections
 import contextlib
 import copy
+import fractions
 import io
 import json
 import math
@@ -59,6 +60,146 @@ def test_every_check_gives_the_same_result_alone():
             name, full[name].expected, full[name].actual, full[name].passed,
         )
         assert alone.passed
+
+
+def _facts(report):
+    return [(c.name, c.claim, c.expected, c.actual, c.passed) for c in report.checks]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPUs run_verify sees as usable; returns the workers it forked.
+
+    On teardown every worker must have been reaped: no child is left
+    running or as a zombie.
+    """
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        forked.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def use(*cpu_ids):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpu_ids), raising=False)
+        return forked
+
+    yield use
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _both_paths(cpus, pattern=None):
+    # a full run with the fuzz in a forked worker, then on one CPU
+    forked = cpus(0, 1)
+    with_worker = run_verify(pattern)
+    assert len(forked) == 1
+    cpus(0)
+    sequential = run_verify(pattern)
+    assert len(forked) == 1
+    return with_worker, sequential
+
+
+def test_worker_and_one_cpu_give_the_same_checks(cpus):
+    with_worker, sequential = _both_paths(cpus)
+    assert _facts(with_worker) == _facts(sequential)
+    assert [c.name for c in sequential.checks] == verify.check_names()
+    assert with_worker.all_pass and sequential.all_pass
+
+
+def test_worker_runs_only_beside_another_check(cpus):
+    forked = cpus(0, 1)
+    (fuzz,) = run_verify("props-semiring-*").checks
+    assert fuzz.passed and forked == []
+    assert run_verify("props-*").all_pass
+    assert len(forked) == 1
+
+
+def test_worker_waits_while_another_thread_is_alive(cpus):
+    import threading
+
+    forked = cpus(0, 1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert run_verify().all_pass
+    finally:
+        stop.set()
+        thread.join()
+    assert forked == []
+
+
+def _raise_os_error():
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+def test_fork_that_fails_runs_every_check_here(monkeypatch, cpus):
+    cpus(0, 1)
+    monkeypatch.setattr(os, "fork", _raise_os_error)
+    assert run_verify().all_pass
+
+
+def test_worker_beside_an_ignored_sigchld(cpus):
+    # the kernel reaps the worker itself, and waitpid finds no child
+    import signal
+
+    forked = cpus(0, 1)
+    default = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert run_verify().all_pass
+    finally:
+        signal.signal(signal.SIGCHLD, default)
+    assert len(forked) == 1
+
+
+def test_worker_reports_a_failing_fuzz(monkeypatch, cpus):
+    monkeypatch.setattr(verify, "divides_ring", lambda p, q: (False, None))
+    with_worker, sequential = _both_paths(cpus)
+    assert _facts(with_worker) == _facts(sequential)
+    failed = {c.name for c in with_worker.checks if not c.passed}
+    assert "props-semiring-implies-ring" in failed
+    assert with_worker.exit_code == 1
+
+
+def test_worker_result_that_marshal_refuses_is_recomputed_here(monkeypatch, cpus):
+    # the worker cannot send a Fraction and exits 1; this process runs the fuzz
+    monkeypatch.setattr(verify, "_semiring_fuzz", lambda: {"cases": fractions.Fraction(1, 3)})
+    with_worker, sequential = _both_paths(cpus)
+    assert _facts(with_worker) == _facts(sequential)
+    assert {c.name for c in with_worker.checks if not c.passed} == {"props-semiring-implies-ring"}
+
+
+def _raise(message):
+    def raiser(*args):
+        raise RuntimeError(message)
+
+    return raiser
+
+
+@pytest.mark.parametrize(
+    "raising,raised",
+    [
+        ([(verify, "_semiring_fuzz")], "_semiring_fuzz"),
+        # a check the parent runs before the fuzz, and one after it
+        ([(poincare, "dim_flag")], "dim_flag"),
+        ([(cgmb, "express_residual")], "express_residual"),
+        # the sequential run stops at the fuzz, before express_residual runs
+        ([(verify, "_semiring_fuzz"), (cgmb, "express_residual")], "_semiring_fuzz"),
+    ],
+    ids=["fuzz", "head", "tail", "fuzz-and-tail"],
+)
+def test_worker_path_raises_what_the_sequential_run_raises(monkeypatch, cpus, raising, raised):
+    # each patched function raises a RuntimeError with its own name
+    for module, attr in raising:
+        monkeypatch.setattr(module, attr, _raise(attr))
+    for cpu_ids in ((0, 1), (0,)):
+        forked = cpus(*cpu_ids)
+        with pytest.raises(RuntimeError, match=f"^{raised}$"):
+            run_verify()
+    assert len(forked) == 1
 
 
 # a Killing-form grid of one anisotropic form of the wrong dimension, from
@@ -293,6 +434,15 @@ def test_cli_fixture_with_a_5040_term_witness(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["pass"] is True
     assert payload["witness_terms"] == 5040
+
+
+def test_builtin_fixture_searches_stay_far_below_the_depth_limit():
+    assert [run_fixture(name) for name in ("step5-x2", "step5-x16")] == [
+        {"name": "step5-x2", "kind": "residual-expressible", "witness_terms": 34,
+         "min_shift": 1, "roundtrip": True, "pass": True},
+        {"name": "step5-x16", "kind": "residual-expressible", "witness_terms": 133,
+         "min_shift": 1, "roundtrip": True, "pass": True},
+    ]
 
 
 def test_cli_poincare_round_trip(capsys):
@@ -881,6 +1031,10 @@ def test_cli_fixture_that_is_not_an_object_maps_to_exit_2(tmp_path, capsys):
           "blocks": [[1]], "min_shift": 0}, "residual must have nonnegative coefficients"),
         ({"total": {"poincare": {"type": "A91", "variety": list(range(1, 92))}}},
          "numerator product has degree 4186, above the maximum 4096"),
+        # the D7 Borel variety as Tate terms: a search 322,560 blocks deep
+        ({"kind": "residual-expressible", "total": {"poincare": {"type": "D7",
+          "variety": list(range(1, 8))}}, "subtract": [], "blocks": [[1]], "min_shift": 0},
+         "the residual may take 322560 blocks, above the search depth limit of 100000"),
     ],
 )
 def test_cli_fixture_document_is_checked_in_full_when_read(tmp_path, capsys, broken, message):
