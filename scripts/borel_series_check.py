@@ -29,12 +29,14 @@ walk the left orbit W.lambda_I, against the transposed Kilmoyer
 reference: the cells of W_J\\W/W_I with inverted representatives and
 sizes rescaled by |W_I| / |W_J|.  Sixth, for every sigma-stable variety
 over POINT_COUNT_TYPES, the conormed polynomial at t = 2 against its
-F_2-points counted as flags of totally isotropic subspaces
-(``unitary_flag_count`` for 2A_n, ``orthogonal_flag_count`` for 2D_n),
+F_2-points counted as flags of totally isotropic subspaces of a
+Hermitian space over F_4 (``unitary_flag_count``, 2A_n) or of a
+minus-type quadratic space over F_2 (``orthogonal_flag_count``, 2D_n),
 and for every variety over SPLIT_POINT_COUNT_TYPES, the Poincare
 polynomial at t = 3 against its F_3-points counted as flags of a
-symplectic space (``symplectic_flag_count``; W(B_n) = W(C_n)), with no
-Weyl group on that side.  The sweeps take minutes, which is why
+symplectic space (``symplectic_flag_count``; W(B_n) = W(C_n)); all
+three count by one echelon walk of the totally isotropic subspaces,
+with no Weyl group on that side.  The sweeps take minutes, which is why
 this is a script and not a test; ``tests/test_scripts.py`` runs them on
 a tiny catalog.
 
@@ -83,8 +85,10 @@ TWISTED_MAX_INDEX = 20_000
 # whose 1,500 pairs would walk 10^7 orbit vectors
 TRANSPOSED_TYPES = ["D6", "E6", "E7"]
 TRANSPOSED_MAX_LEFT_INDEX = 20_000
-# every sigma-stable variety, whatever its index; 2A5 and 2D5 take seconds
-POINT_COUNT_TYPES = ["2A2", "2A3", "2A4", "2A5", "2D4", "2D5"]
+# every sigma-stable variety, whatever its index; 2D6 walks its 1.6e7
+# totally singular subspaces of dimension <= 4 in about 20 s, and its whole
+# W is D6, so it meets the closed form's D_2m sign at 2m = 6 (2D4 at 2m = 4)
+POINT_COUNT_TYPES = ["2A2", "2A3", "2A4", "2A5", "2A6", "2D4", "2D5", "2D6"]
 # every variety of these split types; the rank-4 symplectic space over F_3
 # has 3280 lines and 918,400 totally isotropic subspaces of dimension 3
 SPLIT_POINT_COUNT_TYPES = ["B4", "C4"]

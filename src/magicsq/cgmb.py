@@ -125,10 +125,14 @@ def express_residual(
     reproducible.  The residual and every block must have nonnegative
     coefficients; blocks must be nonzero.
 
-    The search is depth-first on an explicit stack, one frame per placed
-    block, and a residual that has no expression is remembered and never
-    searched again.  A residual that could take more than _DEPTH_LIMIT
-    blocks raises ValueError (``check_search_depth``).
+    The search is depth-first on one residual, placing a block by
+    subtracting it and backtracking by adding it back; an explicit stack
+    keeps one frame per placed block, its position in the search order
+    and the exponent it covers, from which the scan for the next
+    uncovered exponent restarts.  A residual that has no expression is
+    remembered, as its coefficient tuple, and never searched again.  A
+    residual that could take more than _DEPTH_LIMIT blocks raises
+    ValueError (``check_search_depth``).
     """
     if any(c < 0 for c in residual.coeffs):
         raise ValueError("residual must have nonnegative coefficients")
@@ -142,44 +146,39 @@ def express_residual(
         range(len(blocks)), key=lambda i: (-(len(normalized[i][1]) - 1), i)
     )
 
-    failed: set[tuple[int, ...]] = set()
-    # a residual and the blocks not yet tried on it, one frame per placed block
-    stack = [(_strip(residual.coeffs), iter(order))]
-    placed: list[tuple[int, int]] = []  # placed[k] leads from stack[k] to stack[k + 1]
-    while stack:
-        res, untried = stack[-1]
-        if not res:
-            return sorted(placed)
-        e = next(i for i, c in enumerate(res) if c)
-        for bi in untried:
-            val, bc = normalized[bi]
-            if e < val:
-                continue  # shift would be negative
-            if len(res) < e + len(bc):
-                continue  # block overshoots the residual degree
-            nxt = list(res)
-            for k, c in enumerate(bc):
-                nxt[e + k] -= c
-            if min(nxt[e : e + len(bc)]) < 0:
-                continue
-            nxt = _strip(tuple(nxt))
-            if nxt not in failed:
-                placed.append((bi, e - val))
-                stack.append((nxt, iter(order)))
-                break
-        else:
-            failed.add(res)
-            stack.pop()
-            if placed:
-                placed.pop()
-    return None
-
-
-def _strip(res: tuple[int, ...]) -> tuple[int, ...]:
+    res = list(residual.coeffs)
     n = len(res)
-    while n and res[n - 1] == 0:
-        n -= 1
-    return res[:n]
+    failed: set[tuple[int, ...]] = set()
+    stack: list[tuple[int, int]] = []  # (position in order, exponent) per placed block
+    start, e = 0, 0  # the first position in order to try, the exponent the scan starts at
+    while True:
+        while e < n and not res[e]:
+            e += 1
+        if e == n:
+            return sorted((order[pos], at - normalized[order[pos]][0]) for pos, at in stack)
+        for pos in range(start, len(order)):
+            val, bc = normalized[order[pos]]
+            if e < val or n < e + len(bc):
+                continue  # shift would be negative, or block overshoots the degree
+            if any(res[e + j] < c for j, c in enumerate(bc)):
+                continue
+            for j, c in enumerate(bc):
+                res[e + j] -= c
+            if failed and tuple(res) in failed:
+                for j, c in enumerate(bc):
+                    res[e + j] += c
+                continue
+            stack.append((pos, e))
+            start = 0
+            break
+        else:
+            failed.add(tuple(res))
+            if not stack:
+                return None
+            pos, e = stack.pop()
+            for j, c in enumerate(normalized[order[pos]][1]):
+                res[e + j] += c
+            start = pos + 1
 
 
 def witness_sum(

@@ -65,6 +65,8 @@ class VerifyReport:
 # -- cgmb fixture plumbing ---------------------------------------------------
 
 _FIXTURE_KINDS = ("identity", "residual-expressible")
+# bytes of a --fixtures document; the built-in one is under 4 KB
+_FIXTURE_DOC_LIMIT = 2**20
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
@@ -135,16 +137,25 @@ def load_fixture_doc(path: str) -> dict:
     root system is built) or a polynomial of too high a degree is refused
     here, as its run would refuse it; and the ``subtract`` terms must leave
     a residual with no negative coefficient, small enough for the search
-    (``cgmb.check_search_depth``).  Every failure raises
-    ValueError with a one-line message.
+    (``cgmb.check_search_depth``).  At most _FIXTURE_DOC_LIMIT bytes of
+    UTF-8 text are read.  Every failure raises ValueError with a
+    one-line message.
     """
     import json  # only an alternative fixtures document needs it here
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(_FIXTURE_DOC_LIMIT + 1)
     except OSError as exc:
         raise ValueError(f"cannot read fixtures {path}: {exc.strerror}") from exc
+    if len(data) > _FIXTURE_DOC_LIMIT:
+        raise ValueError(f"fixtures {path} is larger than {_FIXTURE_DOC_LIMIT} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"fixtures {path} is not UTF-8 text") from None
+    try:
+        doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
         raise ValueError(f"fixtures {path} is not valid JSON: {exc}") from exc
     if type(doc) is not dict or type(doc.get("version")) is not int or doc["version"] != 1:

@@ -18,11 +18,14 @@ them.  Outside W altogether, ``unitary_flag_count`` and
 2A_n and 2D_n as flags of totally isotropic subspaces of a Hermitian
 space over F_4 and of a minus-type quadratic space over F_2, and
 ``symplectic_flag_count`` the F_3-points of those of C_n (and so of
-B_n) as flags of a symplectic space over F_3.  This
-module imports only magicsq, so the script runs without the test
-extras.  Also here: the golden-file forms of a root system and a
-polynomial, a simple root's index and a polynomial's coefficient, which
-only the tests read.
+B_n) as flags of a symplectic space over F_3.  All three take one walk
+of the reduced echelon bases of the totally isotropic subspaces over
+F_q (``_isotropic_subspace_counts``) and one product of its counts
+with those of the plain flags (``_flag_product``).  This module
+imports only magicsq, so the script runs without the test extras.
+Also here: the golden-file forms of a root system and a polynomial, a
+simple root's index and a polynomial's coefficient, which only the
+tests read.
 """
 
 import functools
@@ -343,87 +346,158 @@ def sigma_fixed_reference(fv):
     return length_counts_to_poly(counts)
 
 
-def _subspace_levels(points, perp, span, top):
-    """The totally isotropic subspaces of dimension <= top, as their covers.
+def _minus(q, x, y):
+    """x - y in F_q, q = 2, 3 or 4, an element being an int below q.
 
-    ``points`` is the set of nonzero isotropic vectors, ``perp[v]`` the
-    points orthogonal to v, and ``span(space, v)`` the subspace that
-    space and v span, as a sorted tuple of vectors, zero included.  Level d
-    holds, for each subspace of dimension d, the indices in level d - 1
-    of its subspaces of dimension d - 1.  Each d-subspace T is grown once
-    from every (d - 1)-subspace S it contains: the vectors of each T
-    grown from S are covered before the next point is tried, and two
-    such T meet in S.  Only two levels of vector sets live at a time.
+    F_2 and F_3 are the integers mod q; F_4 is b0 + b1 a with a^2 = a + 1,
+    the int b0 + 2 b1, so its subtraction, like its addition, is xor.
     """
-    frontier = [(0,)]
-    levels = [[[]]]
-    for _ in range(top):
-        grown = {}
-        for s, space in enumerate(frontier):
-            covered = set(space)
-            for v in points.intersection(*(perp[u] for u in space if u)):
-                if v not in covered:
-                    new = span(space, v)
-                    covered.update(new)
-                    grown.setdefault(new, []).append(s)
-        frontier = list(grown)
-        levels.append(list(grown.values()))
-    return levels
+    return x ^ y if q == 4 else (x - y) % q
 
 
-def _flag_count(levels, dims) -> int:
-    """Flags of subspaces of the dimensions dims, from ``_subspace_levels``.
+def _times(q, x, y):
+    """x y in F_q, as in ``_minus``.
 
-    Each subspace of a named dimension sums the chain counts of its own
-    subspaces of the previous named dimension, found by walking down its
-    covers, so no two subspaces are compared.
+    In F_4, (x0 + x1 a)(y0 + y1 a) = (x0 y0 + x1 y1) + (x0 y1 + x1 y0 + x1 y1) a.
     """
-    chains = [1] * len(levels[dims[0]])
-    for low, high in zip(dims, dims[1:]):
-        counts = []
-        for below in levels[high]:
-            subs = set(below)
-            for d in range(high - 1, low, -1):
-                subs = set().union(*(levels[d][s] for s in subs))
-            counts.append(sum(chains[s] for s in subs))
-        chains = counts
-    return sum(chains)
+    if q != 4:
+        return x * y % q
+    x0, x1, y0, y1 = x & 1, x >> 1, y & 1, y >> 1
+    return (x0 & y0 ^ x1 & y1) | (x0 & y1 ^ x1 & y0 ^ x1 & y1) << 1
+
+
+# conj(x) = x^2 on F_4: conj(b0 + b1 a) = (b0 + b1) + b1 a swaps a and a + 1
+_F4_CONJ = (0, 1, 3, 2)
+
+
+def _digits(v, q, size):
+    """The coordinates of the vector of index v = sum v_k q^k of F_q^size."""
+    return [v // q**k % q for k in range(size)]
+
+
+def _kernel_mask(f, q) -> int:
+    """Bit mask of the vectors v of F_q^len(f) with sum f_k v_k = 0.
+
+    A vector is its index sum v_k q^k, and bit v of the mask is set iff v
+    is in the kernel.  The vectors of each value are built digit by digit:
+    v + c q^k has the value of v plus c f_k.
+    """
+    by_value = [1] + [0] * (q - 1)  # the zero vector of F_q^0 has value 0
+    width = 1
+    for fk in f:
+        by_value = [
+            functools.reduce(
+                operator.or_,
+                (by_value[_minus(q, r, _times(q, c, fk))] << c * width for c in range(q)),
+            )
+            for r in range(q)
+        ]
+        width *= q
+    return by_value[0]
+
+
+def _isotropic_subspace_counts(size, q, perp, isotropic, top):
+    """The number of totally isotropic subspaces of F_q^size of each dimension <= top.
+
+    ``perp(v)`` is the bit mask of the vectors orthogonal to the vector of
+    index v, and ``isotropic`` the mask of the vectors isotropic
+    themselves (see ``_kernel_mask``).  Each subspace is walked once,
+    depth first, as its reduced row echelon basis: rows r_1, ..., r_d
+    with leading entry 1 at increasing columns and zeros at the other
+    rows' leading columns.  Its first d - 1 rows are the basis of a
+    subspace one dimension down, so a subspace grows by each isotropic
+    row v orthogonal to every row so far (the common mask) whose leading
+    1 lies at a column p after the last leading column, where every row
+    so far is zero.  Isotropic rows orthogonal to each other span a
+    totally isotropic subspace, for a Hermitian form as for a quadratic
+    one, whose polar form is Q(u + v) - Q(u) - Q(v).  A frame keeps its
+    rows only as the mask of the columns where one of them is nonzero,
+    and the subspaces of dimension top are counted, not walked.
+    """
+    leading = [  # the vectors whose first nonzero coordinate is a 1 at p
+        sum(1 << (q**p + q ** (p + 1) * t) for t in range(q ** (size - p - 1)))
+        for p in range(size)
+    ]
+
+    @functools.cache
+    def columns(v):  # the columns where v is nonzero, as a bit mask
+        return sum(1 << k for k, c in enumerate(_digits(v, q, size)) if c)
+
+    counts = [1] + [0] * top
+    # dimension, the vectors the rows leave, last leading column, the rows' columns
+    stack = [(0, isotropic, -1, 0)]
+    while stack:
+        d, common, last, used = stack.pop()
+        d += 1
+        for p in range(last + 1, size):
+            if used >> p & 1:
+                continue
+            grow = common & leading[p]
+            counts[d] += grow.bit_count()
+            while d < top and grow:
+                low = grow & -grow
+                grow ^= low
+                v = low.bit_length() - 1
+                stack.append((d, common & perp(v), p, used | columns(v)))
+    return counts
+
+
+def _alternating_perp(n, q):
+    """``perp`` of the form sum x(2i-1) y(2i) - x(2i) y(2i-1) on F_q^(2n), q prime.
+
+    B(x, .) is the functional J x.
+    """
+
+    @functools.cache
+    def perp(v):
+        x = _digits(v, q, 2 * n)
+        return _kernel_mask([c for i in range(n) for c in (-x[2 * i + 1] % q, x[2 * i])], q)
+
+    return perp
 
 
 @functools.cache
-def _unitary_levels(n):
-    """``_subspace_levels`` of the Hermitian form on F_4^(n+1), to dimension (n + 1) // 2.
+def _subspace_counts(m, q):
+    """The number of subspaces of F_q^m of each dimension: the zero form's counts."""
+    everything = (1 << q**m) - 1
+    return _isotropic_subspace_counts(m, q, lambda v: everything, everything, m)
 
-    A vector is an int, coordinate i in bits 2i and 2i + 1 as b0 + b1 a
-    with a^2 = a + 1, so addition is xor and every coordinate is read at
-    once through the masks of its low and high bits.
+
+def _flag_product(counts, q, dims) -> int:
+    """Flags of totally isotropic subspaces of the dimensions dims, from their counts.
+
+    Every subspace of a totally isotropic space is totally isotropic, so
+    a flag is a totally isotropic subspace of the top dimension m of
+    dims and a flag of the dimensions below m in it, a plain space
+    F_q^m, and so on down.
     """
-    low = sum(1 << (2 * i) for i in range(n + 1))
+    dims = sorted(set(dims))
+    flags = 1
+    while dims:
+        top = dims.pop()
+        flags *= counts[top]
+        counts = _subspace_counts(top, q)
+    return flags
 
-    def times_a(v):  # a (b0 + b1 a) = b1 + (b0 + b1) a
-        b0, b1 = v & low, v >> 1 & low
-        return b1 | (b0 ^ b1) << 1
 
-    def orthogonal(u, v):
-        # sum u_i conj(v_i), conj(b0 + b1 a) = (b0 + b1) + b1 a, is zero
-        a0, a1 = u & low, u >> 1 & low
-        c1 = v >> 1 & low
-        c0 = v & low ^ c1
-        real = (a0 & c0 ^ a1 & c1).bit_count()
-        imaginary = (a0 & c1 ^ a1 & c0 ^ a1 & c1).bit_count()
-        return real % 2 == imaginary % 2 == 0
+@functools.cache
+def _unitary_counts(n):
+    """``_isotropic_subspace_counts`` of the Hermitian form on F_4^(n+1).
 
-    def span(space, v):
-        a_v = times_a(v)
-        return tuple(sorted({u ^ c for u in space for c in (0, v, a_v, a_v ^ v)}))
+    The walk goes to dimension (n + 1) // 2.  h(u, v) = sum u_i conj(v_i)
+    is zero iff v is in the kernel of the functional sum conj(u_i) x_i,
+    and h(v, v) is the number of nonzero coordinates of v mod 2, as
+    x conj(x) = x^3 = 1 for x != 0.
+    """
 
-    points = {v for v in range(1, 4 ** (n + 1)) if orthogonal(v, v)}
-    perp = {}
-    for u in points:
-        if u not in perp:  # one set for the three nonzero multiples of u
-            a_u = times_a(u)
-            perp[u] = perp[a_u] = perp[a_u ^ u] = {v for v in points if orthogonal(u, v)}
-    return _subspace_levels(points, perp, span, (n + 1) // 2)
+    @functools.cache
+    def perp(v):
+        return _kernel_mask([_F4_CONJ[c] for c in _digits(v, 4, n + 1)], 4)
+
+    isotropic = sum(
+        1 << v for v in range(4 ** (n + 1)) if sum(map(bool, _digits(v, 4, n + 1))) % 2 == 0
+    )
+    return _isotropic_subspace_counts(n + 1, 4, perp, isotropic, (n + 1) // 2)
 
 
 def unitary_flag_count(n: int, circled: Iterable[int]) -> int:
@@ -432,31 +506,28 @@ def unitary_flag_count(n: int, circled: Iterable[int]) -> int:
     The quasi-split unitary group of 2A_n over F_2 preserves the Hermitian
     form sum x_i conj(x_i) on F_4^(n+1), with conj(x) = x^2.  A sigma-stable
     circled set I names the flags of totally isotropic subspaces of the
-    dimensions min(i, n + 1 - i), i in I; this counts them, subspace by
-    subspace, with no root system and no Weyl group.  The subspaces of
-    each n are grown once (``_unitary_levels``).
+    dimensions min(i, n + 1 - i), i in I; this counts them, with no root
+    system and no Weyl group, from the counts of totally isotropic
+    subspaces walked once per n (``_unitary_counts``).
     """
-    return _flag_count(_unitary_levels(n), sorted({min(i, n + 1 - i) for i in circled}))
+    return _flag_product(_unitary_counts(n), 4, {min(i, n + 1 - i) for i in circled})
 
 
 @functools.cache
-def _orthogonal_levels(n):
-    """``_subspace_levels`` of the minus-type form on F_2^(2n), to dimension n - 1.
+def _orthogonal_counts(n):
+    """``_isotropic_subspace_counts`` of the minus-type form on F_2^(2n), to dimension n - 1.
 
-    A vector is an int, bit k holding x(k+1), so addition is xor.  Two
-    singular vectors u, v are orthogonal iff u + v is singular, since the
-    polar form is Q(u + v) - Q(u) - Q(v).
+    A vector is an int, bit k holding x(k+1).  The polar form
+    Q(u + v) - Q(u) - Q(v) is the alternating form of ``_alternating_perp``
+    over F_2, so a vector is isotropic itself iff it is singular, Q(v) = 0.
     """
 
     def form(v):
         pairs = sum((v >> (2 * i) & 1) & (v >> (2 * i + 1) & 1) for i in range(n))
         return (pairs + (v >> (2 * n - 2) & 1) + (v >> (2 * n - 1) & 1)) % 2
 
-    points = {v for v in range(1, 1 << (2 * n)) if form(v) == 0}
-    perp = {u: {v for v in points if u ^ v in points} for u in points}
-    return _subspace_levels(
-        points, perp, lambda space, v: tuple(sorted({*space, *(u ^ v for u in space)})), n - 1
-    )
+    singular = sum(1 << v for v in range(1 << (2 * n)) if form(v) == 0)
+    return _isotropic_subspace_counts(2 * n, 2, _alternating_perp(n, 2), singular, n - 1)
 
 
 def orthogonal_flag_count(n: int, circled: Iterable[int]) -> int:
@@ -468,88 +539,19 @@ def orthogonal_flag_count(n: int, circled: Iterable[int]) -> int:
     have dimension at most n - 1.  A sigma-stable circled set I names the
     flags of totally singular subspaces of the dimensions i for the nodes
     i <= n - 2 in I, and n - 1 for the pair {n - 1, n}; this counts them,
-    with no root system and no Weyl group.  The subspaces of each n are
-    grown once (``_orthogonal_levels``).
+    with no root system and no Weyl group, from the counts of totally
+    singular subspaces walked once per n (``_orthogonal_counts``).
     """
-    return _flag_count(_orthogonal_levels(n), sorted({min(i, n - 1) for i in circled}))
-
-
-def _kernel_mask(f) -> int:
-    """Bit mask of the vectors v of F_3^len(f) with sum f_k v_k = 0 (mod 3).
-
-    A vector is its index sum v_k 3^k, and bit v of the mask is set iff v
-    is in the kernel.  The vectors of each value are built digit by digit:
-    v + c 3^k has the value of v plus c f_k.
-    """
-    by_value = [1, 0, 0]  # the zero vector of F_3^0 has value 0
-    width = 1
-    for fk in f:
-        by_value = [
-            by_value[r] | by_value[(r - fk) % 3] << width | by_value[(r + fk) % 3] << 2 * width
-            for r in range(3)
-        ]
-        width *= 3
-    return by_value[0]
-
-
-def _isotropic_subspace_counts(size, perp, top):
-    """The number of totally isotropic subspaces of F_3^size of each dimension <= top.
-
-    ``perp(v)`` is the bit mask of the vectors orthogonal to the vector of
-    index v (see ``_kernel_mask``).  Each subspace is walked once, depth
-    first, as its reduced row echelon basis: rows r_1, ..., r_d with
-    leading entry 1 at increasing columns and zeros at the other rows'
-    leading columns.  Its first d - 1 rows are the basis of a subspace
-    one dimension down, so a subspace grows by each row v orthogonal to
-    every row so far (the common perp mask) whose leading 1 lies at a
-    column p after the last leading column, where every row so far is
-    zero.  Every vector of an alternating form is isotropic, so no vector
-    is tested against itself.
-    """
-    leading = [  # the vectors whose first nonzero coordinate is a 1 at p
-        sum(1 << (3**p + 3 ** (p + 1) * t) for t in range(3 ** (size - p - 1)))
-        for p in range(size)
-    ]
-    counts = [0] * (top + 1)
-    stack = [((), (1 << 3**size) - 1, -1)]  # rows, their common perp, last column
-    while stack:
-        rows, common, last = stack.pop()
-        counts[len(rows)] += 1
-        if len(rows) == top:
-            continue
-        for p in range(last + 1, size):
-            if any(r // 3**p % 3 for r in rows):
-                continue
-            grow = common & leading[p]
-            while grow:
-                low = grow & -grow
-                grow ^= low
-                v = low.bit_length() - 1
-                stack.append((rows + (v,), common & perp(v), p))
-    return counts
+    return _flag_product(_orthogonal_counts(n), 2, {min(i, n - 1) for i in circled})
 
 
 @functools.cache
 def _symplectic_counts(n):
     """``_isotropic_subspace_counts`` of the alternating form on F_3^(2n), to dimension n.
 
-    The form is the sum of x(2i-1) y(2i) - x(2i) y(2i-1), so B(x, .) is
-    the functional J x.
+    Every vector of an alternating form is isotropic.
     """
-
-    @functools.cache
-    def perp(v):
-        x = [v // 3**k % 3 for k in range(2 * n)]
-        return _kernel_mask([c for i in range(n) for c in (-x[2 * i + 1], x[2 * i])])
-
-    return _isotropic_subspace_counts(2 * n, perp, n)
-
-
-@functools.cache
-def _subspace_counts(m):
-    """The number of subspaces of F_3^m of each dimension: the zero form's counts."""
-    everything = (1 << 3**m) - 1
-    return _isotropic_subspace_counts(m, lambda v: everything, m)
+    return _isotropic_subspace_counts(2 * n, 3, _alternating_perp(n, 3), (1 << 9**n) - 1, n)
 
 
 def symplectic_flag_count(n: int, circled: Iterable[int]) -> int:
@@ -558,22 +560,12 @@ def symplectic_flag_count(n: int, circled: Iterable[int]) -> int:
     Sp(2n) over F_3 preserves the standard alternating form on F_3^(2n),
     whose totally isotropic subspaces have dimension at most n.  A circled
     set I names the flags of totally isotropic subspaces of the dimensions
-    i in I; this counts them, with no root system and no Weyl group.
-    Every subspace of a totally isotropic space is totally isotropic, so a
-    flag is a totally isotropic subspace of the top dimension m of I and a
-    flag of the dimensions I - {m} in it, a plain space F_3^m; the counts
-    of subspaces of each dimension are walked once per n
-    (``_symplectic_counts``) and per m (``_subspace_counts``).  W(B_n) =
-    W(C_n), so the count is also that of B_n's quotient polynomial at 3.
+    i in I; this counts them, with no root system and no Weyl group, from
+    the counts of totally isotropic subspaces walked once per n
+    (``_symplectic_counts``).  W(B_n) = W(C_n), so the count is also that
+    of B_n's quotient polynomial at 3.
     """
-    dims = sorted(set(circled))
-    counts = _symplectic_counts(n)
-    flags = 1
-    while dims:
-        top = dims.pop()
-        flags *= counts[top]
-        counts = _subspace_counts(top)
-    return flags
+    return _flag_product(_symplectic_counts(n), 3, circled)
 
 
 def root_system_to_json(rs: RootSystem) -> dict:

@@ -3,6 +3,7 @@ import io
 import itertools
 import pathlib
 import runpy
+import tracemalloc
 
 import pytest
 
@@ -158,14 +159,21 @@ def test_express_residual_preconditions():
 
 
 def test_express_residual_places_more_blocks_than_the_recursion_limit():
-    # one frame per placed block, on an explicit stack
-    witness = express_residual(IntPoly([1] * 6000), [IntPoly([1])])
+    # one small frame per placed block, on an explicit stack, and one
+    # residual for the whole search, so memory grows with the depth alone
+    tracemalloc.start()
+    try:
+        witness = express_residual(IntPoly([1] * 6000), [IntPoly([1])])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert witness == [(0, shift) for shift in range(6000)]
+    assert peak < 10 * 2**20
 
 
 def test_express_residual_refuses_a_search_deeper_than_the_limit():
-    # the D7 Borel variety is 322,560 Tate terms: one frame per placed block
-    # would hold 205 MB, so the search refuses before it starts
+    # the D7 Borel variety is 322,560 Tate terms, more placed blocks than
+    # the limit, so the search refuses before it starts
     borel = poincare_poly(FlagVariety(CartanType("D", 7), frozenset(range(1, 8))))
     with pytest.raises(
         ValueError,

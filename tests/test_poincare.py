@@ -220,7 +220,7 @@ def test_conormed_matches_permutation_reference():
         assert conormed_poincare(fv) == sigma_fixed_reference(fv), fv
 
 
-# F_2-points of every sigma-stable variety of 2A2..2A4: flags of totally
+# F_2-points of every sigma-stable variety of 2A2..2A6: flags of totally
 # isotropic subspaces of F_4^(n+1) under sum x_i conj(x_i)
 UNITARY_FLAG_COUNTS = {
     ("2A2", (1, 2)): 9,
@@ -230,11 +230,29 @@ UNITARY_FLAG_COUNTS = {
     ("2A4", (1, 4)): 165,
     ("2A4", (2, 3)): 297,
     ("2A4", (1, 2, 3, 4)): 1485,
+    ("2A5", (3,)): 891,  # 3 * 9 * 33 maximal totally isotropic subspaces
+    ("2A5", (1, 5)): 693,
+    ("2A5", (2, 4)): 6237,
+    ("2A5", (1, 3, 5)): 18711,
+    ("2A5", (2, 3, 4)): 18711,
+    ("2A5", (1, 2, 4, 5)): 31185,
+    ("2A5", (1, 2, 3, 4, 5)): 93555,
+    ("2A6", (1, 6)): 2709,
+    ("2A6", (2, 5)): 89397,
+    ("2A6", (3, 4)): 38313,
+    ("2A6", (1, 2, 5, 6)): 446985,
+    ("2A6", (1, 3, 4, 6)): 804573,
+    ("2A6", (2, 3, 4, 5)): 804573,
+    ("2A6", (1, 2, 3, 4, 5, 6)): 4022865,
 }
 
 
 def test_conormed_counts_the_points_of_the_unitary_flag_varieties():
-    cases = [fv for label in ("2A2", "2A3", "2A4") for fv in sigma_stable_varieties(label, 10**6)]
+    cases = [
+        fv
+        for label in ("2A2", "2A3", "2A4", "2A5", "2A6")
+        for fv in sigma_stable_varieties(label, 10**6)
+    ]
     assert sorted((str(fv.ambient), tuple(sorted(fv.parabolic_type))) for fv in cases) == sorted(
         UNITARY_FLAG_COUNTS
     )
@@ -245,30 +263,46 @@ def test_conormed_counts_the_points_of_the_unitary_flag_varieties():
         assert conormed_poincare(fv)(2) == points, fv
 
 
-# F_2-points of every sigma-stable variety of 2D4: flags of totally
-# singular subspaces of a minus-type quadratic form on F_2^8, node i <= 2
-# naming dimension i and the pair {3, 4} dimension 3
+# F_2-points of every sigma-stable variety of 2D4 and 2D5: flags of totally
+# singular subspaces of a minus-type quadratic form on F_2^(2n), node
+# i <= n - 2 naming dimension i and the pair {n - 1, n} dimension n - 1
 ORTHOGONAL_FLAG_COUNTS = {
-    (1,): 119,  # 17 * 7 singular points
-    (2,): 1071,
-    (1, 2): 3213,
-    (3, 4): 765,  # 5 * 9 * 17 maximal totally singular subspaces
-    (1, 3, 4): 5355,
-    (2, 3, 4): 5355,
-    (1, 2, 3, 4): 16065,
+    ("2D4", (1,)): 119,  # 17 * 7 singular points
+    ("2D4", (2,)): 1071,
+    ("2D4", (1, 2)): 3213,
+    ("2D4", (3, 4)): 765,  # 5 * 9 * 17 maximal totally singular subspaces
+    ("2D4", (1, 3, 4)): 5355,
+    ("2D4", (2, 3, 4)): 5355,
+    ("2D4", (1, 2, 3, 4)): 16065,
+    ("2D5", (1,)): 495,  # 33 * 15 singular points
+    ("2D5", (2,)): 19635,
+    ("2D5", (3,)): 75735,
+    ("2D5", (1, 2)): 58905,
+    ("2D5", (1, 3)): 530145,
+    ("2D5", (2, 3)): 530145,
+    ("2D5", (4, 5)): 25245,  # 5 * 9 * 17 * 33 maximal totally singular subspaces
+    ("2D5", (1, 2, 3)): 1590435,
+    ("2D5", (1, 4, 5)): 378675,
+    ("2D5", (2, 4, 5)): 883575,
+    ("2D5", (3, 4, 5)): 378675,
+    ("2D5", (1, 2, 4, 5)): 2650725,
+    ("2D5", (1, 3, 4, 5)): 2650725,
+    ("2D5", (2, 3, 4, 5)): 2650725,
+    ("2D5", (1, 2, 3, 4, 5)): 7952175,
 }
 
 
 def test_conormed_counts_the_points_of_the_orthogonal_flag_varieties():
-    # the only check of the sign on one degree 2m of 2D_2m that no 2A_n reaches
-    cases = list(sigma_stable_varieties("2D4", 10**6))
-    assert sorted(tuple(sorted(fv.parabolic_type)) for fv in cases) == sorted(
+    # 2D4 is the only check of the sign on one degree 2m of 2D_2m that no
+    # 2A_n reaches
+    cases = [fv for label in ("2D4", "2D5") for fv in sigma_stable_varieties(label, 10**6)]
+    assert sorted((str(fv.ambient), tuple(sorted(fv.parabolic_type))) for fv in cases) == sorted(
         ORTHOGONAL_FLAG_COUNTS
     )
     for fv in cases:
         circled = tuple(sorted(fv.parabolic_type))
-        points = orthogonal_flag_count(4, circled)
-        assert points == ORTHOGONAL_FLAG_COUNTS[circled]
+        points = orthogonal_flag_count(fv.ambient.rank, circled)
+        assert points == ORTHOGONAL_FLAG_COUNTS[str(fv.ambient), circled]
         assert conormed_poincare(fv)(2) == points, fv
 
 

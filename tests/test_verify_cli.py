@@ -1000,6 +1000,26 @@ def test_cli_fixture_load_errors_map_to_exit_2(tmp_path, capsys):
             assert captured.err.startswith(f"error: fixtures {path} {why}"), path
 
 
+def test_cli_fixture_document_is_read_to_one_mebibyte_of_utf8(tmp_path, capsys):
+    # at most 1 MiB + 1 bytes are read, so /dev/zero ends in exit 2, not a
+    # MemoryError; the document at the limit, padded with blanks, is read
+    text = json.dumps(_data.FIXTURES)
+    at_limit, over_limit = tmp_path / "at-limit.json", tmp_path / "over-limit.json"
+    at_limit.write_text(text + " " * (2**20 - len(text)))
+    over_limit.write_text(text + " " * (2**20 + 1 - len(text)))
+    assert verify.load_fixture_doc(str(at_limit)) == _data.FIXTURES
+    not_utf8 = tmp_path / "latin-1.json"
+    not_utf8.write_bytes('{"version": 1, "fixtures": [], "claim": "é"}'.encode("latin-1"))
+    cases = [(over_limit, "is larger than 1048576 bytes"), (not_utf8, "is not UTF-8 text")]
+    if os.path.exists("/dev/zero"):
+        cases.append(("/dev/zero", "is larger than 1048576 bytes"))
+    for path, why in cases:
+        code = main(["--fixtures", str(path), "cgmb", "check", "--fixture", "henke-y1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), path
+        assert captured.err == f"error: fixtures {path} {why}\n"
+
+
 def test_cli_fixture_that_is_not_an_object_maps_to_exit_2(tmp_path, capsys):
     path = tmp_path / "fixtures.json"
     path.write_text(json.dumps({"version": 1, "fixtures": [["x"]]}))
